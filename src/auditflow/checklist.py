@@ -85,13 +85,17 @@ def lint_questions(
     return out
 
 
-def verify_inventory(doc: ArtifactDocument, repo: "AuditRepository") -> ChecklistReport:
+def verify_inventory(
+    doc: ArtifactDocument,
+    repo: "AuditRepository",
+    verbs: frozenset[str] | set[str] = CLOSED_QUESTION_VERBS,
+) -> ChecklistReport:
     """Check the documentation inventory claims against the repository.
 
     Items that expect an artifact kind count as satisfied only when they are
     claimed satisfied and at least one artifact of that kind is present and
     free of validation errors. A claimed `yes` without such an artifact is a
-    false claim.
+    false claim. Prompts are linted against ``verbs``.
     """
     items = items_from(doc)
     diags: list[Diagnostic] = []
@@ -130,5 +134,5 @@ def verify_inventory(doc: ArtifactDocument, repo: "AuditRepository") -> Checklis
         na_count=na,
         completeness=completeness,
         diagnostics=tuple(sort_diagnostics(diags)),
-        lint_findings=tuple(lint_questions(doc)),
+        lint_findings=tuple(lint_questions(doc, verbs)),
     )

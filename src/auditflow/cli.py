@@ -27,7 +27,7 @@ from .canonical import content_hash
 from .diagnostics import AuditError, Severity, format_lines, has_errors
 from .report import compile_report, render_text
 from .repository import AuditRepository, init_repository
-from .risk import RiskRegister, prioritize_risks, update_fmea_with_tests
+from .risk import prioritize_risks, update_fmea_with_tests
 from .trace import build_graph, reconstruct_trail
 from .workflow import _stage_requirements, advance_stage, check_gate
 
@@ -192,7 +192,7 @@ def cmd_risk(args) -> int:
     if register_doc is None:
         print("no risk register in this repository", file=sys.stderr)
         return EXIT_FAIL
-    register = RiskRegister.from_artifact(register_doc)
+    register = repo.risk_register()
     matrix = repo.risk_matrix()
 
     if args.ingest_tests:
@@ -258,7 +258,6 @@ def cmd_report(args) -> int:
                 created_at=clock.now_iso(),
             )
         )
-    repo.sync_trail()
     print(f"verdict {report.verdict}")
     if args.format == "text":
         print(f"wrote {repo.path / 'audit_report.txt'}")

@@ -158,6 +158,9 @@ class Manifest:
         bad = set(matrix) - _MATRIX_FIELDS
         if bad:
             raise AuditError("E_CONFIG", f"unknown risk_matrix fields: {sorted(bad)}")
+        verbs = raw.get("closed_question_verbs")
+        if verbs is not None and (not isinstance(verbs, list) or not all(isinstance(v, str) for v in verbs)):
+            raise AuditError("E_CONFIG", "closed_question_verbs must be a list of strings")
         manifest = Manifest(
             audit_id=raw["audit_id"],
             product_name=raw.get("product_name", "") or "",
@@ -168,7 +171,7 @@ class Manifest:
             risk_matrix=matrix,
             skew_threshold=float(raw.get("skew_threshold", 4.0)),
             fraction_tolerance=float(raw.get("fraction_tolerance", 0.02)),
-            closed_question_verbs=raw.get("closed_question_verbs"),
+            closed_question_verbs=verbs,
             risk_acceptance_threshold=raw.get("risk_acceptance_threshold"),
             verdict_blocking_class=raw.get("verdict_blocking_class", "high") or "high",
         )
@@ -275,6 +278,8 @@ class AuditRepository:
         self._validation: Optional[dict[str, list[Diagnostic]]] = None
         self._cross: Optional[list[Diagnostic]] = None
         self._checklist_reports: dict[str, ChecklistReport] = {}
+        self._register: Optional[RiskRegister] = None
+        self._trail: Optional[list[TrailRecord]] = None
 
     # -- loading ------------------------------------------------------------
 
@@ -355,8 +360,11 @@ class AuditRepository:
         return docs[0] if docs else None
 
     def risk_register(self) -> Optional[RiskRegister]:
-        doc = self.register_doc()
-        return RiskRegister.from_artifact(doc) if doc else None
+        """The register parsed once per snapshot; writes drop it."""
+        if self._register is None:
+            doc = self.register_doc()
+            self._register = RiskRegister.from_artifact(doc) if doc else None
+        return self._register
 
     def tested_risk_ids(self) -> set[str]:
         covered: set[str] = set()
@@ -485,7 +493,7 @@ class AuditRepository:
         if doc is None or doc.kind is not ArtifactKind.DESIGN_CHECKLIST:
             return None
         self._ensure_validated()
-        report = verify_inventory(doc, self)
+        report = verify_inventory(doc, self, self.manifest.closed_verbs())
         self._checklist_reports[artifact_id] = report
         return report
 
@@ -493,6 +501,7 @@ class AuditRepository:
         self._validation = None
         self._cross = None
         self._checklist_reports = {}
+        self._register = None
 
     # -- locking and writes ----------------------------------------------------
 
@@ -524,6 +533,7 @@ class AuditRepository:
         return self.path / ARTIFACT_DIR / doc.meta.stage.value / f"{doc.id}.json"
 
     def trail_records(self) -> list[TrailRecord]:
+        """Read and parse ``trail.log``; the only reader of the file."""
         trail_path = self.path / TRAIL_NAME
         if not trail_path.is_file():
             return []
@@ -534,25 +544,33 @@ class AuditRepository:
                 records.append(TrailRecord.from_dict(json.loads(line)))
         return records
 
+    def trail(self) -> list[TrailRecord]:
+        """The recorded trail, read once per snapshot and kept in step with
+        the snapshot's own appends. Callers must not modify the list."""
+        if self._trail is None:
+            self._trail = self.trail_records()
+        return self._trail
+
     def _append_trail(self, records: list[TrailRecord]) -> None:
         if not records:
             return
         with (self.path / TRAIL_NAME).open("a", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        if self._trail is not None:
+            self._trail.extend(records)
 
-    def _observation_events(self, doc: ArtifactDocument, recorded: list[TrailRecord]) -> list[TrailRecord]:
+    def _observation_events(self, doc: ArtifactDocument, last: Optional[TrailRecord]) -> list[TrailRecord]:
+        """Events that record ``doc`` given the artifact's last trail record."""
         body_hash = doc.meta.content_hash
         status = doc.meta.status.value
         ts = doc.meta.created_at
-        mine = [r for r in recorded if r.artifact_id == doc.id]
         out: list[TrailRecord] = []
-        if not mine:
+        if last is None:
             out.append(TrailRecord(ts, "created", doc.id, doc.meta.version, body_hash, status))
             if status == "final":
                 out.append(TrailRecord(ts, "finalized", doc.id, doc.meta.version, body_hash, status))
             return out
-        last = mine[-1]
         if doc.meta.version == last.version:
             if body_hash == last.hash and status == "final" and last.status != "final":
                 out.append(TrailRecord(ts, "finalized", doc.id, doc.meta.version, body_hash, status))
@@ -565,11 +583,10 @@ class AuditRepository:
 
     def sync_trail(self) -> list[TrailRecord]:
         """Record unseen artifact versions. Call under the writer lock path."""
-        recorded = self.trail_records()
+        last = {rec.artifact_id: rec for rec in self.trail()}
         new: list[TrailRecord] = []
         for doc in sorted(self.artifacts.values(), key=lambda d: d.id):
-            events = self._observation_events(doc, recorded + new)
-            new.extend(events)
+            new.extend(self._observation_events(doc, last.get(doc.id)))
         self._append_trail(new)
         return new
 
@@ -580,23 +597,23 @@ class AuditRepository:
         version with different content is rejected; bump the version instead.
         """
         doc = rehash(doc)
-        recorded = [r for r in self.trail_records() if r.artifact_id == doc.id]
-        for rec in recorded:
-            if rec.version == doc.meta.version and rec.hash != doc.meta.content_hash:
+        with self.lock():
+            recorded = [r for r in self.trail_records() if r.artifact_id == doc.id]
+            for rec in recorded:
+                if rec.version == doc.meta.version and rec.hash != doc.meta.content_hash:
+                    raise AuditError(
+                        "E_VERSION_REUSED",
+                        f"{doc.id} v{doc.meta.version} already recorded with different content",
+                    )
+            if recorded and doc.meta.version < max(r.version for r in recorded):
                 raise AuditError(
                     "E_VERSION_REUSED",
-                    f"{doc.id} v{doc.meta.version} already recorded with different content",
+                    f"{doc.id} v{doc.meta.version} is older than the recorded v{max(r.version for r in recorded)}",
                 )
-        if recorded and doc.meta.version < max(r.version for r in recorded):
-            raise AuditError(
-                "E_VERSION_REUSED",
-                f"{doc.id} v{doc.meta.version} is older than the recorded v{max(r.version for r in recorded)}",
-            )
-        with self.lock():
             path = self.artifact_path(doc)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(serialize_artifact(doc))
-            self._append_trail(self._observation_events(doc, recorded))
+            self._append_trail(self._observation_events(doc, recorded[-1] if recorded else None))
         stale = self.artifacts.get(doc.id)
         if stale is not None and stale.meta.stage is not doc.meta.stage:
             old_path = self.artifact_path(stale)

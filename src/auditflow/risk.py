@@ -8,14 +8,12 @@ override stays monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Optional
 
 from .artifacts import ArtifactDocument, ArtifactKind, Principle
 from .diagnostics import AuditError, Diagnostic, make, sort_diagnostics
-
-SEVERITY_LABELS = {1: "negligible", 2: "minor", 3: "moderate", 4: "major", 5: "catastrophic"}
-LIKELIHOOD_LABELS = {1: "rare", 2: "unlikely", 3: "possible", 4: "likely", 5: "almost_certain"}
 
 RISK_CLASSES = ("low", "mid", "high")
 _CLASS_RANK = {c: i for i, c in enumerate(RISK_CLASSES)}
@@ -146,11 +144,15 @@ class RiskRegister:
     def to_body(self) -> dict:
         return {"entries": [e.to_record() for e in self.entries]}
 
-    def get(self, entry_id: str) -> Optional[FmeaEntry]:
+    @cached_property
+    def _by_id(self) -> dict[str, FmeaEntry]:
+        index: dict[str, FmeaEntry] = {}
         for e in self.entries:
-            if e.id == entry_id:
-                return e
-        return None
+            index.setdefault(e.id, e)  # the first entry of a duplicated id wins
+        return index
+
+    def get(self, entry_id: str) -> Optional[FmeaEntry]:
+        return self._by_id.get(entry_id)
 
     def open_entries(self) -> tuple[FmeaEntry, ...]:
         return tuple(e for e in self.entries if e.status == "open")

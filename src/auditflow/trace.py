@@ -58,12 +58,6 @@ class TraceGraph:
     generated_at: str
     repo_hash: str
 
-    def node(self, node_id: str) -> Optional[TraceNode]:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        return None
-
     def graph_hash(self) -> str:
         """Hash of nodes, edges, and repo hash; the timestamp is excluded."""
         return content_hash(
@@ -262,13 +256,15 @@ def find_gaps(graph: TraceGraph, register: RiskRegister | None, matrix: RiskMatr
     """Coverage gaps: untested high risks, unmitigated failures, unexamined
     principles, and requirements without evidencing artifacts."""
     out: list[Diagnostic] = []
-    exercised: dict[str, list[str]] = {}
+    exercised: set[str] = set()
+    risks_of_test: dict[str, list[str]] = {}
     mitigated: set[str] = set()
     threatened_or_derived: set[str] = set()
     evidenced: set[str] = set()
     for e in graph.edges:
         if e.edge_kind == "exercises":
-            exercised.setdefault(e.dst, []).append(e.src)
+            exercised.add(e.dst)
+            risks_of_test.setdefault(e.src, []).append(e.dst)
         elif e.edge_kind == "mitigates":
             mitigated.add(e.dst)
         elif e.edge_kind in ("threatens", "derives_from"):
@@ -292,8 +288,7 @@ def find_gaps(graph: TraceGraph, register: RiskRegister | None, matrix: RiskMatr
 
     for node in graph.nodes:
         if node.node_kind == "test_case" and "failed" in node.flags:
-            risks = exercised_by_test(graph, node.id)
-            if not any(r in mitigated for r in risks):
+            if not any(r in mitigated for r in risks_of_test.get(node.id, ())):
                 out.append(
                     make(
                         "W_UNMITIGATED_FAILURE",
@@ -324,6 +319,7 @@ def find_gaps(graph: TraceGraph, register: RiskRegister | None, matrix: RiskMatr
 
 
 def exercised_by_test(graph: TraceGraph, test_node_id: str) -> list[str]:
+    """Risk node ids a test node exercises, in edge order."""
     return [e.dst for e in graph.edges if e.edge_kind == "exercises" and e.src == test_node_id]
 
 
@@ -361,7 +357,7 @@ def reconstruct_trail(repo: "AuditRepository") -> list[TrailEvent]:
     when a current artifact has no recorded history at all.
     """
     problems: list[Diagnostic] = []
-    records = repo.trail_records()
+    records = repo.trail()
     by_artifact: dict[str, list] = {}
     for rec in records:
         by_artifact.setdefault(rec.artifact_id, []).append(rec)

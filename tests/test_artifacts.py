@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 
 import pytest
 
@@ -159,7 +160,7 @@ FUZZ_KINDS = (
 
 @pytest.mark.parametrize("kind", FUZZ_KINDS, ids=lambda k: k.value)
 def test_unknown_field_injection_yields_exactly_one_diagnostic_each(kind):
-    rng = random.Random(hash(kind.value) & 0xFFFF)
+    rng = random.Random(zlib.crc32(kind.value.encode()))
     doc = random_artifact(kind, rng)
     raw = _doc_dict(doc)
     points = list(_insertion_points(raw))

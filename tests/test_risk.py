@@ -297,3 +297,21 @@ def test_validate_chart_cross_checks():
     stale[0]["risk_class"] = "low"
     chart = make_artifact(ArtifactKind.ETHICAL_RISK_CHART, "chart", {"rows": stale})
     assert "E_RC_STALE_ROW" in [d.code for d in validate_chart(chart, register)]
+
+
+def test_duplicate_register_id_resolves_to_its_first_entry():
+    first, second = _entry("FM-1", 3, 3), _entry("FM-1", 5, 5)
+    register = RiskRegister((first, second, _entry("FM-2", 2, 2)))
+    assert register.get("FM-1") is first
+    assert register.get("FM-GHOST") is None
+
+    rows = [
+        {"fmea_id": "FM-1", "severity": 3, "likelihood": 3, "risk_class": "mid", "rationale": "x"},
+        {"fmea_id": "FM-2", "severity": 2, "likelihood": 2, "risk_class": "low", "rationale": "x"},
+    ]
+    chart = make_artifact(ArtifactKind.ETHICAL_RISK_CHART, "chart", {"rows": rows})
+    assert validate_chart(chart, register) == []
+
+    rows[0].update(severity=5, likelihood=5, risk_class="high")
+    chart = make_artifact(ArtifactKind.ETHICAL_RISK_CHART, "chart", {"rows": rows})
+    assert [(d.code, d.path) for d in validate_chart(chart, register)] == [("E_RC_STALE_ROW", "body.rows[0]")]

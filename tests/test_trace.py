@@ -270,3 +270,23 @@ def test_honest_version_bump_is_recorded_by_sync(smile_copy):
     repo.sync_trail()
     events = reconstruct_trail(repo)
     assert any(e.ref == "ethical-review" and e.event == "updated" and e.version == 2 for e in events)
+
+
+def test_failed_test_over_two_risks_is_covered_when_one_is_mitigated():
+    nodes = TOY_NODES + (TraceNode("risk:k2", "risk", "register", "2026-01-01T00:00:00+00:00", ("open",)),)
+    edges = list(TOY_EDGES.values()) + [
+        TraceEdge("test:t1", "exercises", "risk:k2"),
+        TraceEdge("risk:k2", "threatens", "principle:p1"),
+    ]
+
+    def graph(edges):
+        return TraceGraph(
+            nodes=tuple(sorted(nodes, key=lambda n: n.id)),
+            edges=tuple(sorted(edges, key=lambda e: (e.src, e.edge_kind, e.dst))),
+            generated_at="2026-01-01T00:00:00+00:00",
+            repo_hash="0" * 64,
+        )
+
+    assert find_gaps(graph(edges), TOY_REGISTER) == []
+    gaps = find_gaps(graph([e for e in edges if e.edge_kind != "mitigates"]), TOY_REGISTER)
+    assert [(d.code, d.path) for d in gaps] == [("W_UNMITIGATED_FAILURE", "test:t1")]
