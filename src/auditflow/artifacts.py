@@ -22,18 +22,18 @@ import json
 import yaml
 
 from . import clock
-from .canonical import canonical_bytes, content_hash
+from .canonical import content_hash
 from .diagnostics import (
     ArtifactParseError,
     Diagnostic,
-    Severity,
     make,
     sort_diagnostics,
 )
 
 
 class Stage(str, Enum):
-    """The five audit stages, totally ordered."""
+    """The five audit stages, totally ordered by ``order``; members compare
+    as their string values, so compare ``order`` instead."""
 
     SCOPING = "scoping"
     MAPPING = "mapping"
@@ -48,18 +48,6 @@ class Stage(str, Enum):
     @property
     def display(self) -> str:
         return _STAGE_DISPLAY[self]
-
-    def __lt__(self, other: "Stage") -> bool:  # type: ignore[override]
-        return self.order < other.order
-
-    def __le__(self, other: "Stage") -> bool:  # type: ignore[override]
-        return self.order <= other.order
-
-    def __gt__(self, other: "Stage") -> bool:  # type: ignore[override]
-        return self.order > other.order
-
-    def __ge__(self, other: "Stage") -> bool:  # type: ignore[override]
-        return self.order >= other.order
 
 
 STAGES: tuple[Stage, ...] = (
@@ -734,13 +722,6 @@ def serialize_artifact(doc: ArtifactDocument) -> bytes:
     """Render an artifact to its on-disk JSON form (stable key order)."""
     payload = {"meta": doc.meta.to_dict(), "body": doc.body}
     return (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n").encode("utf-8")
-
-
-def hash_artifact(body_bytes: bytes) -> str:
-    """Digest of an already-canonicalized body."""
-    from .canonical import hash_bytes
-
-    return hash_bytes(body_bytes)
 
 
 def make_artifact(

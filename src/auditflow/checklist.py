@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .artifacts import ArtifactDocument, ArtifactKind
+from .artifacts import ArtifactDocument
 from .diagnostics import Diagnostic, make, sort_diagnostics
 
 if TYPE_CHECKING:

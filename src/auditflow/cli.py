@@ -29,14 +29,12 @@ from .report import compile_report, render_text
 from .repository import AuditRepository, init_repository
 from .risk import prioritize_risks, update_fmea_with_tests
 from .trace import build_graph, reconstruct_trail
-from .workflow import _stage_requirements, advance_stage, check_gate
+from .workflow import advance_stage, check_gate, check_requirements
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_FAIL = 2
 EXIT_USAGE = 3
-
-_STATUS_RANK = {ArtifactStatus.DRAFT: 0, ArtifactStatus.FINAL: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,33 +127,22 @@ def cmd_validate(args) -> int:
 
 def cmd_status(args) -> int:
     repo = _load(args)
-    cfg = repo.workflow_config()
     current = repo.state.current_stage
     for stage in Stage:
-        reqs = _stage_requirements(stage, cfg)
-        lines = []
-        done = 0
-        for req in reqs:
-            docs = repo.by_kind(req.kind)
-            ok = any(
-                _STATUS_RANK[d.meta.status] >= _STATUS_RANK[req.min_status] and not repo.artifact_errors(d.id)
-                for d in docs
-            )
-            done += 1 if ok else 0
-            if not docs:
+        checks = check_requirements(repo, stage)
+        done = sum(1 for c in checks if not c.diagnostics)
+        marker = "*" if stage is current else " "
+        print(f"{marker} {stage.display} ({done}/{len(checks)} artifacts final)")
+        for c in checks:
+            req = c.requirement
+            if not c.docs:
                 state = "missing"
-            elif any(d.meta.status is ArtifactStatus.FINAL for d in docs):
+            elif any(d.meta.status is ArtifactStatus.FINAL for d in c.docs):
                 state = "final"
             else:
                 state = "draft"
-            ids = ",".join(d.id for d in docs) or "-"
-            lines.append(
-                f"    {req.kind.value:<26} {req.producer.value:<12} {req.min_status.value:<6} {state:<8} {ids}"
-            )
-        marker = "*" if stage is current else " "
-        print(f"{marker} {stage.display} ({done}/{len(reqs)} artifacts final)")
-        for line in lines:
-            print(line)
+            ids = ",".join(d.id for d in c.docs) or "-"
+            print(f"    {req.kind.value:<26} {req.producer.value:<12} {req.min_status.value:<6} {state:<8} {ids}")
     print(f"current stage: {current.display}")
     return EXIT_OK
 

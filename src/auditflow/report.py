@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import clock
-from .artifacts import ArtifactDocument, ArtifactKind, Principle, Stage
-from .diagnostics import AuditError, Diagnostic, Severity, has_errors, make
+from .artifacts import ArtifactDocument, ArtifactKind, Stage
+from .diagnostics import AuditError, Diagnostic, has_errors
 from .risk import (
     FmeaEntry,
     PrincipleThreat,
@@ -31,7 +31,7 @@ from .risk import (
     prioritize_risks,
 )
 from .trace import TraceGraph, build_graph, find_gaps
-from .workflow import _stage_requirements, _STATUS_ORDER
+from .workflow import check_requirements
 
 if TYPE_CHECKING:
     from .repository import AuditRepository
@@ -127,32 +127,6 @@ class SummaryReport:
         return body
 
 
-def _reflection_readiness(repo: "AuditRepository") -> list[Diagnostic]:
-    """Completeness of the Reflection stage's own outputs, report excluded."""
-    out: list[Diagnostic] = []
-    cfg = repo.workflow_config()
-    for req in _stage_requirements(Stage.REFLECTION, cfg):
-        if req.kind is ArtifactKind.AUDIT_SUMMARY_REPORT:
-            continue
-        docs = repo.by_kind(req.kind)
-        if not docs:
-            out.append(
-                make("E_GATE_MISSING", f"{req.kind.value} required at Reflection is absent", None, "stage.reflection")
-            )
-            continue
-        for doc in docs:
-            if _STATUS_ORDER[doc.meta.status] < _STATUS_ORDER[req.min_status]:
-                out.append(
-                    make(
-                        "E_GATE_STATUS",
-                        f"{req.kind.value} must be {req.min_status.value}, found {doc.meta.status.value}",
-                        doc.id,
-                        "meta.status",
-                    )
-                )
-    return out
-
-
 def compile_report(repo: "AuditRepository", *, generated_at: str | None = None) -> tuple[SummaryReport, TraceGraph]:
     """Assemble the summary report from the register, graph, and checklist.
 
@@ -182,6 +156,14 @@ def compile_report(repo: "AuditRepository", *, generated_at: str | None = None) 
         if report is not None:
             completeness = report.completeness
 
+    # completeness of the Reflection stage's own outputs, this report excluded
+    readiness = [
+        d
+        for c in check_requirements(repo, Stage.REFLECTION)
+        if c.requirement.kind is not ArtifactKind.AUDIT_SUMMARY_REPORT
+        for d in c.diagnostics
+    ]
+
     conditions: list[str] = []
     if remediation is not None:
         for item in remediation.body.get("items", []):
@@ -196,7 +178,7 @@ def compile_report(repo: "AuditRepository", *, generated_at: str | None = None) 
             generated_at=stamp,
             principle_findings=findings,
             gap_summary=tuple(gaps),
-            readiness=tuple(_reflection_readiness(repo)),
+            readiness=tuple(readiness),
             checklist_completeness=completeness,
             verdict=verdict,
             conditions=tuple(conditions),

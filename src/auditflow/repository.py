@@ -197,16 +197,18 @@ class Manifest:
                 stage = Stage(stage_name)
             except ValueError:
                 raise AuditError("E_CONFIG", f"unknown stage {stage_name!r} in stage_requirements")
+            if not isinstance(entries, list):
+                raise AuditError("E_CONFIG", f"stage_requirements for {stage_name!r} must be a list")
             reqs = []
             for entry in entries:
                 if isinstance(entry, str):
                     entry = {"kind": entry}
                 try:
                     kind = ArtifactKind(entry["kind"])
-                except (KeyError, ValueError):
-                    raise AuditError("E_CONFIG", f"bad kind in stage_requirements: {entry!r}")
-                producer = ProducerRole(entry.get("producer", DEFAULT_PRODUCERS[kind].value))
-                min_status = ArtifactStatus(entry.get("min_status", "final"))
+                    producer = ProducerRole(entry.get("producer", DEFAULT_PRODUCERS[kind].value))
+                    min_status = ArtifactStatus(entry.get("min_status", "final"))
+                except (KeyError, ValueError, TypeError, AttributeError):
+                    raise AuditError("E_CONFIG", f"bad entry in stage_requirements: {entry!r}")
                 reqs.append(RequiredArtifact(kind=kind, producer=producer, min_status=min_status))
             stage_reqs[stage] = reqs
         return WorkflowConfig(profile=self.profile, stage_requirements=stage_reqs, role_overrides=roles)
@@ -280,6 +282,7 @@ class AuditRepository:
         self._checklist_reports: dict[str, ChecklistReport] = {}
         self._register: Optional[RiskRegister] = None
         self._trail: Optional[list[TrailRecord]] = None
+        self._by_kind: Optional[dict[ArtifactKind, list[ArtifactDocument]]] = None
 
     # -- loading ------------------------------------------------------------
 
@@ -337,7 +340,13 @@ class AuditRepository:
     # -- simple accessors ----------------------------------------------------
 
     def by_kind(self, kind: ArtifactKind) -> list[ArtifactDocument]:
-        return sorted((d for d in self.artifacts.values() if d.kind is kind), key=lambda d: d.id)
+        """Documents of one kind sorted by id, from a map built once per snapshot."""
+        if self._by_kind is None:
+            index: dict[ArtifactKind, list[ArtifactDocument]] = {}
+            for doc in sorted(self.artifacts.values(), key=lambda d: d.id):
+                index.setdefault(doc.kind, []).append(doc)
+            self._by_kind = index
+        return list(self._by_kind.get(kind, ()))
 
     def get(self, artifact_id: str) -> Optional[ArtifactDocument]:
         return self.artifacts.get(artifact_id)
@@ -502,6 +511,7 @@ class AuditRepository:
         self._cross = None
         self._checklist_reports = {}
         self._register = None
+        self._by_kind = None
 
     # -- locking and writes ----------------------------------------------------
 

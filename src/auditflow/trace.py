@@ -14,25 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .artifacts import ArtifactKind, Stage
+from .artifacts import STAGES, ArtifactKind, Stage
 from .canonical import content_hash
 from .diagnostics import AuditError, Diagnostic, make, sort_diagnostics
-from .risk import RiskMatrix, RiskRegister, class_rank
+from .risk import RiskMatrix, RiskRegister
 
 if TYPE_CHECKING:
     from .repository import AuditRepository
-
-NODE_KINDS = ("principle", "requirement", "risk", "test_case", "mitigation", "artifact", "decision")
-
-# edge kind -> (source node kind, allowed target node kinds)
-EDGE_SIGNATURES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "threatens": ("risk", ("principle",)),
-    "derives_from": ("requirement", ("principle",)),
-    "exercises": ("test_case", ("risk",)),
-    "mitigates": ("mitigation", ("risk",)),
-    "evidences": ("artifact", ("decision", "requirement", "risk")),
-    "supersedes": ("artifact", ("artifact",)),
-}
 
 
 @dataclass(frozen=True)
@@ -99,7 +87,7 @@ def build_graph(repo: "AuditRepository", *, generated_at: str | None = None) -> 
     that does not exist.
     """
     from . import clock
-    from .workflow import _stage_requirements
+    from .workflow import required_artifacts
 
     nodes: dict[str, TraceNode] = {}
     edges: set[TraceEdge] = set()
@@ -214,15 +202,14 @@ def build_graph(repo: "AuditRepository", *, generated_at: str | None = None) -> 
 
     # gate decisions, evidenced by the artifacts present in prior stages
     cfg = repo.workflow_config()
+    required = [required_artifacts(stage, cfg) for stage in STAGES]
     for entry in repo.state.gate_log:
         if entry.result != "pass":
             continue
         did = f"decision:gate:{entry.stage.value}"
         add_node(TraceNode(did, "decision", "", entry.timestamp))
-        for stage in Stage:
-            if stage.order >= entry.stage.order:
-                break
-            for req in _stage_requirements(stage, cfg):
+        for reqs in required[: entry.stage.order]:
+            for req in reqs:
                 for doc in repo.by_kind(req.kind):
                     if doc.kind is ArtifactKind.AUDIT_SUMMARY_REPORT:
                         continue

@@ -2,16 +2,19 @@
 
 A gate for a target stage demands that every stage strictly before it has
 its required artifacts present, at the required status, authored by the
-required role, and free of validation errors. Passing gates are recorded in
-an append-only log inside ``state.lock``.
+required role, and free of validation errors. ``check_requirements`` is the
+one evaluator of that rule; the gate, ``status`` and the report's readiness
+lines all read it. Passing gates are recorded in an append-only log inside
+``state.lock``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .artifacts import (
+    ArtifactDocument,
     ArtifactKind,
     ArtifactStatus,
     DEFAULT_PRODUCERS,
@@ -26,8 +29,6 @@ from .diagnostics import AuditError, Diagnostic, format_lines, has_errors, make,
 
 if TYPE_CHECKING:
     from .repository import AuditRepository
-
-_STATUS_ORDER = {ArtifactStatus.DRAFT: 0, ArtifactStatus.FINAL: 1}
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,6 @@ def validate_config(cfg: WorkflowConfig) -> None:
                 f"{kind.value} required in more than {limit} stage(s): "
                 + ", ".join(s.value for s in stages),
             )
-        if kind is not ArtifactKind.FMEA_REGISTER and len(stages) > 1:
-            raise AuditError(
-                "E_CONFIG",
-                f"{kind.value} required in two stages: " + ", ".join(s.value for s in stages),
-            )
 
 
 def effective_home_stages(config: WorkflowConfig | None = None) -> dict[ArtifactKind, Stage]:
@@ -210,64 +206,73 @@ class GateResult:
         return content_hash(format_lines(self.diagnostics))
 
 
+@dataclass(frozen=True)
+class RequirementCheck:
+    """One stage requirement against the repository: the documents of its
+    kind and what is wrong with them; no diagnostics means it is met."""
+
+    requirement: RequiredArtifact
+    docs: tuple[ArtifactDocument, ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def check_requirements(repo: "AuditRepository", stage: Stage) -> list[RequirementCheck]:
+    """Evaluate each requirement of ``stage``: the kind is present, and every
+    instance has the minimum status, the required producer and no
+    validation errors."""
+    out: list[RequirementCheck] = []
+    for req in required_artifacts(stage, repo.workflow_config()):
+        docs = tuple(repo.by_kind(req.kind))
+        diags: list[Diagnostic] = []
+        if not docs:
+            diags.append(
+                make(
+                    "E_GATE_MISSING",
+                    f"{req.kind.value} required for {stage.display} is absent",
+                    None,
+                    f"stage.{stage.value}",
+                )
+            )
+        for doc in docs:
+            if req.min_status is ArtifactStatus.FINAL and doc.meta.status is ArtifactStatus.DRAFT:
+                diags.append(
+                    make(
+                        "E_GATE_STATUS",
+                        f"{req.kind.value} must be {req.min_status.value}, found {doc.meta.status.value}",
+                        doc.id,
+                        "meta.status",
+                    )
+                )
+            if doc.meta.producer is not req.producer:
+                diags.append(
+                    make(
+                        "E_GATE_PRODUCER",
+                        f"{req.kind.value} must come from {req.producer.value}, found {doc.meta.producer.value}",
+                        doc.id,
+                        "meta.producer",
+                    )
+                )
+            errors = repo.artifact_errors(doc.id)
+            if errors:
+                diags.append(
+                    make("E_GATE_INVALID", f"{req.kind.value} has {len(errors)} validation error(s)", doc.id, "")
+                )
+        out.append(RequirementCheck(req, docs, tuple(diags)))
+    return out
+
+
 def check_gate(repo: "AuditRepository", target: Stage, *, waive_checklist: bool = False) -> GateResult:
     """Evaluate whether the repository may enter ``target``.
 
-    Checks every stage strictly before the target. Beyond per-artifact
-    presence, status, producer, and validity, two cross-cutting rules apply:
-    the design checklist must be complete before Testing (waivable), and at
-    the Reflection gate every open high risk must carry either a covering
-    test case or a written rationale.
+    Checks the requirements of every stage strictly before the target. Two
+    cross-cutting rules apply as well: the design checklist must be complete
+    before Testing (waivable), and at the Reflection gate every open high
+    risk must carry either a covering test case or a written rationale.
     """
-    cfg = repo.workflow_config()
-    validate_config(cfg)
     diags: list[Diagnostic] = []
-
-    for stage in STAGES:
-        if stage.order >= target.order:
-            break
-        for req in _stage_requirements(stage, cfg):
-            min_status = req.min_status
-            candidates = repo.by_kind(req.kind)
-            if not candidates:
-                diags.append(
-                    make(
-                        "E_GATE_MISSING",
-                        f"{req.kind.value} required for {stage.display} is absent",
-                        None,
-                        f"stage.{stage.value}",
-                    )
-                )
-                continue
-            for doc in candidates:
-                if _STATUS_ORDER[doc.meta.status] < _STATUS_ORDER[min_status]:
-                    diags.append(
-                        make(
-                            "E_GATE_STATUS",
-                            f"{req.kind.value} must be {min_status.value}, found {doc.meta.status.value}",
-                            doc.id,
-                            "meta.status",
-                        )
-                    )
-                if doc.meta.producer is not req.producer:
-                    diags.append(
-                        make(
-                            "E_GATE_PRODUCER",
-                            f"{req.kind.value} must come from {req.producer.value}, found {doc.meta.producer.value}",
-                            doc.id,
-                            "meta.producer",
-                        )
-                    )
-                errors = repo.artifact_errors(doc.id)
-                if errors:
-                    diags.append(
-                        make(
-                            "E_GATE_INVALID",
-                            f"{req.kind.value} has {len(errors)} validation error(s)",
-                            doc.id,
-                            "",
-                        )
-                    )
+    for stage in STAGES[: target.order]:
+        for check in check_requirements(repo, stage):
+            diags.extend(check.diagnostics)
 
     if target.order > Stage.ARTIFACT_COLLECTION.order:
         diags.extend(_checklist_rule(repo, waive_checklist))

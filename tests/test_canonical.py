@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import random
 
-from auditflow.artifacts import hash_artifact
-from auditflow.canonical import canonical_bytes, content_hash
+from auditflow.canonical import canonical_bytes, content_hash, hash_bytes
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def test_empty_body_hashes_like_empty_string():
-    assert hash_artifact(b"") == SHA256_EMPTY
+    assert hash_bytes(b"") == SHA256_EMPTY
 
 
 def test_key_order_does_not_change_digest():

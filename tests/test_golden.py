@@ -1,10 +1,11 @@
 """Golden snapshots of the CLI's outputs on the two demo audits.
 
 Each audit is built from its fixture and driven through a fixed session
-with the clock pinned: ``--format machine validate``, ``trace``, ``report``
-and a second ``report``. The files under ``tests/golden/<audit>/`` hold the
-expected bytes, so any refactor that changes a diagnostic line, the ADHF
-graph, the trail or the rendered report fails here.
+with the clock pinned: ``--format machine validate``, ``status``,
+``gate reflection``, ``trace``, ``report`` and a second ``report``. The
+files under ``tests/golden/<audit>/`` hold the expected bytes, so any
+refactor that changes a diagnostic line, the stage table, the gate verdict,
+the ADHF graph, the trail or the rendered report fails here.
 
 Regenerate after an intended change of output with
 ``PYTHONPATH=src python -m tests.test_golden`` and review the diff.
@@ -41,6 +42,8 @@ def _cli(repo: Path, *argv: str) -> str:
 def session_outputs(repo: Path) -> dict[str, bytes]:
     """Run the fixed session on a built audit; file name -> bytes."""
     out = {"validate.out": _cli(repo, "validate").encode()}
+    out["status.out"] = _cli(repo, "status").encode()
+    out["gate.out"] = _cli(repo, "gate", "reflection").encode()
     out["trace.out"] = _cli(repo, "trace").encode()
     out["trace.adhf.graph"] = (repo / "adhf.graph").read_bytes()
     out["trace.trail.log"] = (repo / "trail.log").read_bytes()

@@ -145,6 +145,21 @@ def test_deleting_the_plan_makes_compilation_raise(smile_copy):
     assert exc.value.code == "E_MISSING_REMEDIATION"
 
 
+def test_readiness_lines_show_a_wrong_producer_remediation_plan(smile_copy):
+    path = smile_copy / "artifacts" / "reflection" / "remediation-plan.json"
+    raw = json.loads(path.read_text())
+    raw["meta"]["producer"] = "auditor"
+    path.write_text(json.dumps(raw))
+    repo = AuditRepository.load(smile_copy)
+    report, _ = compile_report(repo, generated_at="2026-03-02T20:00:00+00:00")
+    assert [(d.code, d.artifact_id, d.path) for d in report.readiness] == [
+        ("E_GATE_PRODUCER", "remediation-plan", "meta.producer")
+    ]
+    rendered = render_text(report, repo)
+    gaps = rendered[rendered.index("[gaps]") : rendered.index("[verdict]")]
+    assert report.readiness[0].line() in gaps.splitlines()
+
+
 def test_summary_artifact_body_round_trips(smile_repo):
     from auditflow.artifacts import parse_artifact, serialize_artifact
 

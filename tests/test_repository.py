@@ -132,6 +132,19 @@ def test_register_is_parsed_once_per_snapshot_and_dropped_by_a_write(smile_repo)
     assert smile_repo.risk_register() == register
 
 
+def test_by_kind_reads_one_index_per_snapshot_and_a_write_rebuilds_it(smile_repo):
+    reports = smile_repo.by_kind(ArtifactKind.ADVERSARIAL_TESTING_REPORT)
+    assert [d.id for d in reports] == ["adversarial-tests"]
+    reports.clear()  # callers get a fresh list each time
+    assert [d.id for d in smile_repo.by_kind(ArtifactKind.ADVERSARIAL_TESTING_REPORT)] == ["adversarial-tests"]
+    assert smile_repo.by_kind(ArtifactKind.AUDIT_SUMMARY_REPORT) == []
+    smile_repo.write_artifact(_study("a-study", created_at=T1))
+    assert [d.id for d in smile_repo.by_kind(ArtifactKind.FIELD_STUDY_REPORT)] == ["a-study", "field-study"]
+    for kind in ArtifactKind:
+        expected = sorted((d for d in smile_repo.artifacts.values() if d.kind is kind), key=lambda d: d.id)
+        assert smile_repo.by_kind(kind) == expected
+
+
 # -- closed question verbs ----------------------------------------------------------
 
 def _set_manifest(path, **fields):
@@ -162,4 +175,25 @@ def test_closed_question_verbs_must_be_a_list_of_strings(verbs, smile_copy, caps
     assert exc.value.code == "E_CONFIG"
     _set_manifest(smile_copy, closed_question_verbs=verbs)
     assert main(["--repo", str(smile_copy), "validate"]) == 2
+    assert "E_CONFIG" in capsys.readouterr().err
+
+
+# -- stage requirement overrides ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [{"kind": "EthicalReview", "producer": "nobody"}],
+        [{"kind": "EthicalReview", "min_status": "approved"}],
+        3,
+        [["EthicalReview"]],
+    ],
+    ids=["unknown-producer", "unknown-min-status", "entries-not-a-list", "entry-not-an-object"],
+)
+def test_bad_stage_requirement_entries_are_config_errors(entries, smile_copy, capsys):
+    with pytest.raises(AuditError) as exc:
+        Manifest.from_dict({"audit_id": "a", "stage_requirements": {"scoping": entries}})
+    assert exc.value.code == "E_CONFIG"
+    _set_manifest(smile_copy, stage_requirements={"scoping": entries})
+    assert main(["--repo", str(smile_copy), "status"]) == 2
     assert "E_CONFIG" in capsys.readouterr().err

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
 from auditflow.artifacts import ArtifactKind, ArtifactStatus, ProducerRole, Stage, make_artifact
+from auditflow.cli import main
 from auditflow.diagnostics import AuditError
 from auditflow.repository import AuditRepository, init_repository
 from auditflow.workflow import (
@@ -14,11 +16,24 @@ from auditflow.workflow import (
     WorkflowState,
     advance_stage,
     check_gate,
+    check_requirements,
     required_artifacts,
     validate_config,
 )
 
 STAGES = list(Stage)
+
+
+def _status_done(repo_path, capsys) -> dict[Stage, int]:
+    """Per-stage done counts from the ``status`` command's stage lines."""
+    capsys.readouterr()
+    assert main(["--repo", str(repo_path), "status"]) == 0
+    done = {}
+    for line in capsys.readouterr().out.splitlines():
+        m = re.match(r"[* ] (\w+) \((\d+)/\d+ artifacts final\)$", line)
+        if m:
+            done[next(s for s in Stage if s.display == m.group(1))] = int(m.group(2))
+    return done
 
 
 def test_scoping_defaults_include_ethical_review_as_auditor_final():
@@ -140,7 +155,7 @@ def test_every_gate_passes_on_the_complete_fixture(smile_repo):
         assert result.passed, (target, [d.line() for d in result.diagnostics])
 
 
-def test_exhaustive_single_deletion_fails_exactly_the_predicted_gates(smile_copy):
+def test_exhaustive_single_deletion_fails_exactly_the_predicted_gates(smile_copy, capsys):
     for artifact_id, home in EXPECTED_STAGE.items():
         victim = None
         for stage_dir in (smile_copy / "artifacts").iterdir():
@@ -159,6 +174,8 @@ def test_exhaustive_single_deletion_fails_exactly_the_predicted_gates(smile_copy
                 target,
                 [d.line() for d in result.diagnostics],
             )
+        met = {s: sum(not c.diagnostics for c in check_requirements(repo, s)) for s in STAGES}
+        assert _status_done(smile_copy, capsys) == met, artifact_id
         victim.write_bytes(backup)
 
 
@@ -181,6 +198,31 @@ def test_wrong_producer_is_misattribution(smile_copy):
     result = check_gate(repo, Stage.MAPPING)
     assert not result.passed
     assert any(d.code == "E_GATE_PRODUCER" for d in result.diagnostics)
+
+
+def test_status_does_not_count_a_wrong_producer_as_done(smile_copy, capsys):
+    assert _status_done(smile_copy, capsys)[Stage.SCOPING] == 4
+    path = smile_copy / "artifacts" / "scoping" / "ethical-review.json"
+    raw = json.loads(path.read_text())
+    raw["meta"]["producer"] = "product_team"
+    path.write_text(json.dumps(raw))
+    assert _status_done(smile_copy, capsys)[Stage.SCOPING] == 3
+
+
+def test_a_second_draft_instance_leaves_the_requirement_unmet(smile_copy, capsys):
+    # every instance of a required kind must pass, not just one of them
+    src = smile_copy / "artifacts" / "testing" / "adversarial-tests.json"
+    raw = json.loads(src.read_text())
+    raw["meta"]["id"] = "adversarial-tests-extra"
+    raw["meta"]["status"] = "draft"
+    (src.parent / "adversarial-tests-extra.json").write_text(json.dumps(raw))
+    repo = AuditRepository.load(smile_copy)
+    result = check_gate(repo, Stage.REFLECTION)
+    assert not result.passed
+    assert [(d.code, d.artifact_id) for d in result.diagnostics if d.code.startswith("E_GATE")] == [
+        ("E_GATE_STATUS", "adversarial-tests-extra")
+    ]
+    assert _status_done(smile_copy, capsys)[Stage.TESTING] == 1
 
 
 def test_draft_where_final_needed(smile_copy):
