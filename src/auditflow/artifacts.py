@@ -5,14 +5,19 @@ An artifact file is a JSON (or YAML) object with two top-level sections:
 Parsing is strict: unknown fields, bad types, out-of-domain values, and
 content-hash mismatches are all rejected with stable diagnostic codes.
 Validation is a separate, pure pass that reports semantic violations as
-diagnostics instead of failing.
+diagnostics instead of failing. Its single-field rules are annotations on
+the schema: ``need`` (the field is present and not blank), ``unique`` (no
+two list items share an id) and ``ref`` (the value names a declared
+principle); the few rules that relate several fields are one function per
+kind.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from datetime import datetime
 from enum import Enum
 from typing import Any, Optional
@@ -161,10 +166,24 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 # ---------------------------------------------------------------------------
 # schema mini-language
+#
+# A schema is a tree of nodes. Parsing (``_walk``) checks types, domains and
+# unknown fields against it. Three annotations carry the generic validation
+# rules, which ``_check`` applies to a parsed body:
+#   need=(code, message)  on Str, Count, Choice and Seq: the field must be
+#                         present and not None, [] or blank after strip();
+#   unique=(code, label)  on a Seq of Maps: no two items share a non-blank
+#                         "id";
+#   ref=True              on Str: the value names a declared principle.
+# Rules that relate several fields live in ``_CROSS_FIELD_RULES``.
+
+Need = Optional[tuple[str, str]]
+
 
 @dataclass(frozen=True)
 class Str:
-    pass
+    need: Need = None
+    ref: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,6 +195,7 @@ class Flag:
 class Count:
     lo: Optional[int] = None
     hi: Optional[int] = None
+    need: Need = None
 
 
 @dataclass(frozen=True)
@@ -187,22 +207,46 @@ class Real:
 @dataclass(frozen=True)
 class Choice:
     values: tuple[str, ...]
+    need: Need = None
 
 
 @dataclass(frozen=True)
 class Seq:
     item: "Node"
+    need: Need = None
+    unique: Need = None
 
 
 @dataclass(frozen=True)
 class Map:
     fields: dict[str, "Node"]
 
+    @cached_property
+    def ruled(self) -> tuple[tuple[str, "Node", Need, bool], ...]:
+        """(key, node, need, descend) for each field that carries a rule or
+        contains one; ``descend`` is whether ``_check`` must visit it."""
+        out = []
+        for key, node in self.fields.items():
+            need, descend = getattr(node, "need", None), _descends(node)
+            if need or descend:
+                out.append((key, node, need, descend))
+        return tuple(out)
+
+
+def _descends(node: "Node") -> bool:
+    """Whether a present value of ``node`` has a unique or ref rule on or below it."""
+    if isinstance(node, Map):
+        return bool(node.ruled)
+    if isinstance(node, Seq):
+        return bool(node.unique) or _descends(node.item)
+    return isinstance(node, Str) and node.ref
+
 
 Node = Any  # Str | Flag | Count | Real | Choice | Seq | Map
 
 TRISTATE = Choice(("yes", "no", "unknown"))
 ORDINAL = Count(1, 5)
+PRINCIPLE_REF = Str(ref=True)
 
 IMPACT_CATEGORIES = (
     "ways_of_life",
@@ -234,22 +278,46 @@ SCHEMAS: dict[ArtifactKind, Map] = {
     ArtifactKind.PRINCIPLES_DECLARATION: _schema(
         {
             "principles": Seq(
-                Map({"id": Str(), "name": Str(), "description": Str(), "comment": Str()})
+                Map(
+                    {
+                        "id": Str(need=("E_PD_PRINCIPLE_ID", "principle needs an id")),
+                        "name": Str(need=("E_PD_PRINCIPLE_NAME", "principle needs a name")),
+                        "description": Str(),
+                        "comment": Str(),
+                    }
+                ),
+                need=("E_PD_NO_PRINCIPLES", "declare at least one principle"),
+                unique=("E_PD_DUP_PRINCIPLE", "principle id"),
             )
         }
     ),
     ArtifactKind.PRODUCT_REQUIREMENTS_DOC: _schema(
         {
             "product_name": Str(),
-            "requirements": Seq(Map({"id": Str(), "text": Str(), "derives_from": Seq(Str())})),
+            "requirements": Seq(
+                Map(
+                    {
+                        "id": Str(need=("E_PRD_REQ_ID", "requirement needs an id")),
+                        "text": Str(need=("E_PRD_REQ_TEXT", "requirement has no text")),
+                        "derives_from": Seq(PRINCIPLE_REF),
+                    }
+                ),
+                unique=("E_PRD_DUP_REQ", "requirement id"),
+            ),
         }
     ),
     ArtifactKind.ETHICAL_REVIEW: _schema(
         {
             "use_case": Str(),
-            "impacted_groups": Seq(Map({"group": Str(), "impact": Str()})),
+            "impacted_groups": Seq(
+                Map({"group": Str(), "impact": Str()}),
+                need=("E_ER_NO_IMPACTED_GROUPS", "record who is impacted and how"),
+            ),
             "reviewers": Seq(Map({"name": Str(), "affiliation": Str(), "standpoint": Str()})),
-            "board_decision": Choice(("approve", "approve_with_conditions", "reject")),
+            "board_decision": Choice(
+                ("approve", "approve_with_conditions", "reject"),
+                need=("E_ER_NO_DECISION", "record the review board decision"),
+            ),
             "conditions": Seq(Str()),
         }
     ),
@@ -260,9 +328,10 @@ SCHEMAS: dict[ArtifactKind, Map] = {
                     {
                         "category": Choice(IMPACT_CATEGORIES),
                         "description": Str(),
-                        "severity": ORDINAL,
+                        "severity": Count(1, 5, need=("E_SIA_SEVERITY", "impact entry needs a severity")),
                     }
-                )
+                ),
+                need=("E_SIA_NO_ENTRIES", "assess at least one impact"),
             ),
             "overall_severity": ORDINAL,
         }
@@ -299,20 +368,21 @@ SCHEMAS: dict[ArtifactKind, Map] = {
                 Map(
                     {
                         "id": Str(),
-                        "prompt": Str(),
+                        "prompt": Str(need=("E_CL_PROMPT_EMPTY", "item needs a prompt")),
                         "expected_artifact": Str(),
                         "response": Str(),
                         "satisfied": Choice(("yes", "no", "n/a")),
                         "justification": Str(),
                     }
-                )
+                ),
+                unique=("E_CL_DUP_ID", "item id"),
             )
         }
     ),
     ArtifactKind.MODEL_CARD: _schema(
         {
             "model_name": Str(),
-            "intended_use": Str(),
+            "intended_use": Str(need=("E_MC_INTENDED_USE", "model card must state the intended use")),
             "out_of_scope_uses": Seq(Str()),
             "evaluation_data": Str(),
             "performance_by_group": Seq(
@@ -324,7 +394,7 @@ SCHEMAS: dict[ArtifactKind, Map] = {
     ArtifactKind.DATASHEET: _schema(
         {
             "dataset_name": Str(),
-            "collection_process": Str(),
+            "collection_process": Str(need=("E_DS_COLLECTION", "describe how the data was collected")),
             "ethical_review_conducted": TRISTATE,
             "relates_to_people": TRISTATE,
             "demographic_breakdown": Seq(
@@ -342,19 +412,23 @@ SCHEMAS: dict[ArtifactKind, Map] = {
             "entries": Seq(
                 Map(
                     {
-                        "id": Str(),
+                        "id": Str(need=("E_FMEA_ENTRY_ID", "risk entry needs an id")),
                         "failure_mode": Str(),
                         "effect": Str(),
                         "cause": Str(),
                         "severity": ORDINAL,
                         "likelihood": ORDINAL,
                         "detection": ORDINAL,
-                        "threatened_principles": Seq(Str()),
+                        "threatened_principles": Seq(
+                            PRINCIPLE_REF,
+                            need=("E_FMEA_NO_PRINCIPLES", "name at least one threatened principle"),
+                        ),
                         "status": Choice(("open", "mitigated", "accepted")),
                         "evidence_refs": Seq(Str()),
                         "rationale": Str(),
                     }
-                )
+                ),
+                unique=("E_FMEA_DUP_ID", "entry id"),
             )
         }
     ),
@@ -363,8 +437,8 @@ SCHEMAS: dict[ArtifactKind, Map] = {
             "test_cases": Seq(
                 Map(
                     {
-                        "id": Str(),
-                        "target": Str(),
+                        "id": Str(need=("E_ATR_CASE_ID", "test case needs an id")),
+                        "target": Str(need=("E_ATR_NO_TARGET", "test case needs a target risk id or 'new'")),
                         "description": Str(),
                         "trials": Count(0),
                         "failures": Count(0),
@@ -390,7 +464,7 @@ SCHEMAS: dict[ArtifactKind, Map] = {
             "rows": Seq(
                 Map(
                     {
-                        "fmea_id": Str(),
+                        "fmea_id": Str(need=("E_RC_ROW_ID", "row needs a risk entry id")),
                         "severity": ORDINAL,
                         "likelihood": ORDINAL,
                         "risk_class": Choice(("low", "mid", "high")),
@@ -405,14 +479,15 @@ SCHEMAS: dict[ArtifactKind, Map] = {
             "items": Seq(
                 Map(
                     {
-                        "id": Str(),
-                        "fmea_id": Str(),
-                        "action": Str(),
+                        "id": Str(need=("E_RP_ITEM_ID", "remediation item needs an id")),
+                        "fmea_id": Str(need=("E_RP_NO_TARGET", "item must name the risk it mitigates")),
+                        "action": Str(need=("E_RP_NO_ACTION", "item needs an action")),
                         "owner": Str(),
                         "status": Choice(("planned", "in_progress", "verified", "infeasible")),
                         "notes": Str(),
                     }
-                )
+                ),
+                unique=("E_RP_DUP_ID", "item id"),
             )
         }
     ),
@@ -421,7 +496,7 @@ SCHEMAS: dict[ArtifactKind, Map] = {
             "principle_findings": Seq(
                 Map(
                     {
-                        "principle": Str(),
+                        "principle": PRINCIPLE_REF,
                         "risk_class": Choice(("low", "mid", "high")),
                         "unexamined": Flag(),
                         "fmea_ids": Seq(Str()),
@@ -440,7 +515,10 @@ SCHEMAS: dict[ArtifactKind, Map] = {
                 )
             ),
             "checklist_completeness": Real(0.0, 1.0),
-            "verdict": Choice(("greenlight", "conditional_greenlight", "stall", "cancel")),
+            "verdict": Choice(
+                ("greenlight", "conditional_greenlight", "stall", "cancel"),
+                need=("E_SR_NO_VERDICT", "summary report needs a verdict"),
+            ),
             "conditions": Seq(Str()),
             "adhf_hash": Str(),
         }
@@ -781,6 +859,134 @@ def _axis_is_skewed(fractions: list[float], threshold: float) -> bool:
     return fmax * (1.0 - fmin) > threshold * fmin * (1.0 - fmax)
 
 
+def _blank(value) -> bool:
+    return value is None or value == [] or (isinstance(value, str) and not value.strip())
+
+
+def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Diagnostic]) -> None:
+    """Apply the schema's need / unique / ref rules below one present value."""
+    if isinstance(node, Str):
+        if value not in known:  # only ref strings are visited
+            out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, path))
+    elif isinstance(node, Seq):
+        if not isinstance(value, list):
+            return
+        if node.unique:
+            code, label = node.unique
+            seen: set[str] = set()
+            for i, item in enumerate(value):
+                iid = item.get("id")
+                if _blank(iid):
+                    continue
+                if iid in seen:
+                    out.append(make(code, f"{label} {iid!r} repeats", aid, f"{path}[{i}].id"))
+                seen.add(iid)
+        if _descends(node.item):
+            for i, item in enumerate(value):
+                _check(item, node.item, f"{path}[{i}]", aid, known, out)
+    elif isinstance(value, dict):  # a Map
+        for key, child, need, descend in node.ruled:
+            sub = value.get(key)
+            if need and _blank(sub):
+                out.append(make(need[0], need[1], aid, f"{path}.{key}"))
+            elif descend and sub is not None:
+                _check(sub, child, f"{path}.{key}", aid, known, out)
+
+
+def _review_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    if body.get("board_decision") == "approve":
+        standpoints = {r.get("standpoint", "") for r in body.get("reviewers", [])} - {""}
+        if len(standpoints) < 2:
+            message = "approval needs reviewers from at least two distinct standpoints"
+            out.append(make("E_ER_STANDPOINTS", message, aid, "body.reviewers"))
+
+
+def _impact_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    severities = [e.get("severity") for e in body.get("impact_entries", [])]
+    if severities and None not in severities:
+        expected = max(severities)
+        if body.get("overall_severity") != expected:
+            out.append(make("E_SIA_OVERALL_MAX", f"overall severity must be {expected}", aid, "body.overall_severity"))
+
+
+def _datasheet_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    for i, axis in enumerate(body.get("demographic_breakdown", [])):
+        fractions = [g.get("fraction", 0.0) for g in axis.get("groups", [])]
+        if not fractions:
+            continue
+        name = axis.get("axis", f"axis {i}")
+        path = f"body.demographic_breakdown[{i}]"
+        total = sum(fractions)
+        if abs(total - 1.0) > cfg.fraction_tolerance + 1e-12:
+            out.append(make("E_DS_FRACTION_SUM", f"axis {name!r} fractions sum to {total:.3f}", aid, path))
+        if _axis_is_skewed(fractions, cfg.skew_threshold):
+            out.append(make("W_DS_SKEW", f"axis {name!r} is heavily skewed", aid, path))
+
+
+_KIND_NAMES = frozenset(k.value for k in ArtifactKind)
+
+
+def _checklist_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    for i, item in enumerate(body.get("items", [])):
+        if item.get("satisfied") == "n/a" and _blank(item.get("justification")):
+            out.append(
+                make("E_CL_NA_JUSTIFICATION", "n/a items need a justification", aid, f"body.items[{i}].justification")
+            )
+        expected = item.get("expected_artifact")
+        if expected is not None and expected not in _KIND_NAMES:
+            out.append(
+                make("E_CL_BAD_KIND", f"{expected!r} is not an artifact kind", aid, f"body.items[{i}].expected_artifact")
+            )
+
+
+_NEW_ENTRY_REFS = Seq(PRINCIPLE_REF)
+
+
+def _testing_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    for i, case in enumerate(body.get("test_cases", [])):
+        path = f"body.test_cases[{i}]"
+        trials = case.get("trials", 0)
+        failures = case.get("failures", 0)
+        if trials is not None and trials < 1:
+            out.append(make("E_ATR_NO_TRIALS", "run at least one trial", aid, f"{path}.trials"))
+        if trials is not None and failures is not None and failures > trials:
+            out.append(make("E_ATR_COUNTS", f"{failures} failures in {trials} trials", aid, f"{path}.failures"))
+        if case.get("target") != "new":
+            continue
+        new = case.get("new_entry")
+        if not new or not new.get("id") or new.get("severity") is None or not new.get("threatened_principles"):
+            out.append(
+                make(
+                    "E_ATR_NEW_ENTRY",
+                    "new-risk cases need an entry with id, severity, and threatened principles",
+                    aid,
+                    f"{path}.new_entry",
+                )
+            )
+        else:
+            _check(new["threatened_principles"], _NEW_ENTRY_REFS, f"{path}.new_entry.threatened_principles", aid, known, out)
+
+
+def _chart_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
+    for i, row in enumerate(body.get("rows", [])):
+        if row.get("severity") is None or row.get("likelihood") is None or row.get("risk_class") is None:
+            out.append(
+                make("E_RC_ROW_INCOMPLETE", "row needs severity, likelihood, and risk_class", aid, f"body.rows[{i}]")
+            )
+
+
+# Rules that relate several fields of one body; the single-field rules are
+# annotations on SCHEMAS.
+_CROSS_FIELD_RULES = {
+    ArtifactKind.ETHICAL_REVIEW: _review_rules,
+    ArtifactKind.SOCIAL_IMPACT_ASSESSMENT: _impact_rules,
+    ArtifactKind.DATASHEET: _datasheet_rules,
+    ArtifactKind.DESIGN_CHECKLIST: _checklist_rules,
+    ArtifactKind.ADVERSARIAL_TESTING_REPORT: _testing_rules,
+    ArtifactKind.ETHICAL_RISK_CHART: _chart_rules,
+}
+
+
 def validate_artifact(
     artifact: ArtifactDocument,
     principles: list[Principle],
@@ -789,237 +995,15 @@ def validate_artifact(
     """Pure semantic validation of one parsed artifact.
 
     Returns every invariant violation as a diagnostic, sorted by
-    (artifact_id, path, code). Cross-artifact invariants (chart versus
-    register, checklist claims, reference resolution) are handled at the
-    repository and trace layers, not here.
+    (artifact_id, path, code): the need / unique / ref annotations of the
+    kind's schema, then its cross-field rules. Cross-artifact invariants
+    (chart versus register, checklist claims, reference resolution) are
+    handled at the repository and trace layers, not here.
     """
-    cfg = config or DEFAULT_VALIDATION
     known = {p.id for p in principles}
-    body = artifact.body
-    aid = artifact.id
     out: list[Diagnostic] = []
-
-    def check_principle_refs(ids, path_fmt):
-        for i, pid in enumerate(ids):
-            if pid not in known:
-                out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {pid!r} is not declared", aid, path_fmt.format(i=i)))
-
-    kind = artifact.kind
-    if kind is ArtifactKind.PRINCIPLES_DECLARATION:
-        entries = body.get("principles", [])
-        if not entries:
-            out.append(make("E_PD_NO_PRINCIPLES", "declare at least one principle", aid, "body.principles"))
-        seen: set[str] = set()
-        for i, p in enumerate(entries):
-            pid = p.get("id", "")
-            if not pid:
-                out.append(make("E_PD_PRINCIPLE_ID", "principle needs an id", aid, f"body.principles[{i}].id"))
-            elif pid in seen:
-                out.append(make("E_PD_DUP_PRINCIPLE", f"principle id {pid!r} repeats", aid, f"body.principles[{i}].id"))
-            else:
-                seen.add(pid)
-            if not p.get("name"):
-                out.append(make("E_PD_PRINCIPLE_NAME", "principle needs a name", aid, f"body.principles[{i}].name"))
-
-    elif kind is ArtifactKind.PRODUCT_REQUIREMENTS_DOC:
-        seen = set()
-        for i, req in enumerate(body.get("requirements", [])):
-            rid = req.get("id", "")
-            if not rid:
-                out.append(make("E_PRD_REQ_ID", "requirement needs an id", aid, f"body.requirements[{i}].id"))
-            elif rid in seen:
-                out.append(make("E_PRD_DUP_REQ", f"requirement id {rid!r} repeats", aid, f"body.requirements[{i}].id"))
-            else:
-                seen.add(rid)
-            if not req.get("text"):
-                out.append(make("E_PRD_REQ_TEXT", "requirement has no text", aid, f"body.requirements[{i}].text"))
-            check_principle_refs(req.get("derives_from", []), f"body.requirements[{i}].derives_from[{{i}}]")
-
-    elif kind is ArtifactKind.ETHICAL_REVIEW:
-        if not body.get("impacted_groups"):
-            out.append(make("E_ER_NO_IMPACTED_GROUPS", "record who is impacted and how", aid, "body.impacted_groups"))
-        decision = body.get("board_decision")
-        if decision is None:
-            out.append(make("E_ER_NO_DECISION", "record the review board decision", aid, "body.board_decision"))
-        elif decision == "approve":
-            standpoints = {r.get("standpoint", "") for r in body.get("reviewers", [])} - {""}
-            if len(standpoints) < 2:
-                out.append(
-                    make(
-                        "E_ER_STANDPOINTS",
-                        "approval needs reviewers from at least two distinct standpoints",
-                        aid,
-                        "body.reviewers",
-                    )
-                )
-
-    elif kind is ArtifactKind.SOCIAL_IMPACT_ASSESSMENT:
-        entries = body.get("impact_entries", [])
-        if not entries:
-            out.append(make("E_SIA_NO_ENTRIES", "assess at least one impact", aid, "body.impact_entries"))
-        severities = []
-        for i, e in enumerate(entries):
-            sev = e.get("severity")
-            if sev is None:
-                out.append(make("E_SIA_SEVERITY", "impact entry needs a severity", aid, f"body.impact_entries[{i}].severity"))
-            else:
-                severities.append(sev)
-        if entries and len(severities) == len(entries):
-            expected = max(severities)
-            if body.get("overall_severity") != expected:
-                out.append(
-                    make(
-                        "E_SIA_OVERALL_MAX",
-                        f"overall severity must be {expected}",
-                        aid,
-                        "body.overall_severity",
-                    )
-                )
-
-    elif kind is ArtifactKind.MODEL_CARD:
-        if not body.get("intended_use", "").strip():
-            out.append(make("E_MC_INTENDED_USE", "model card must state the intended use", aid, "body.intended_use"))
-
-    elif kind is ArtifactKind.DATASHEET:
-        if not body.get("collection_process", "").strip():
-            out.append(make("E_DS_COLLECTION", "describe how the data was collected", aid, "body.collection_process"))
-        for i, axis in enumerate(body.get("demographic_breakdown", [])):
-            fractions = [g.get("fraction", 0.0) for g in axis.get("groups", [])]
-            name = axis.get("axis", f"axis {i}")
-            if fractions:
-                total = sum(fractions)
-                if abs(total - 1.0) > cfg.fraction_tolerance + 1e-12:
-                    out.append(
-                        make(
-                            "E_DS_FRACTION_SUM",
-                            f"axis {name!r} fractions sum to {total:.3f}",
-                            aid,
-                            f"body.demographic_breakdown[{i}]",
-                        )
-                    )
-            if fractions and _axis_is_skewed(fractions, cfg.skew_threshold):
-                out.append(
-                    make(
-                        "W_DS_SKEW",
-                        f"axis {name!r} is heavily skewed",
-                        aid,
-                        f"body.demographic_breakdown[{i}]",
-                    )
-                )
-
-    elif kind is ArtifactKind.DESIGN_CHECKLIST:
-        seen = set()
-        for i, item in enumerate(body.get("items", [])):
-            iid = item.get("id", "")
-            if iid and iid in seen:
-                out.append(make("E_CL_DUP_ID", f"item id {iid!r} repeats", aid, f"body.items[{i}].id"))
-            seen.add(iid)
-            if not item.get("prompt", "").strip():
-                out.append(make("E_CL_PROMPT_EMPTY", "item needs a prompt", aid, f"body.items[{i}].prompt"))
-            if item.get("satisfied") == "n/a" and not item.get("justification", "").strip():
-                out.append(
-                    make(
-                        "E_CL_NA_JUSTIFICATION",
-                        "n/a items need a justification",
-                        aid,
-                        f"body.items[{i}].justification",
-                    )
-                )
-            expected = item.get("expected_artifact")
-            if expected is not None and expected not in {k.value for k in ArtifactKind}:
-                out.append(
-                    make(
-                        "E_CL_BAD_KIND",
-                        f"{expected!r} is not an artifact kind",
-                        aid,
-                        f"body.items[{i}].expected_artifact",
-                    )
-                )
-
-    elif kind is ArtifactKind.FMEA_REGISTER:
-        seen = set()
-        for i, e in enumerate(body.get("entries", [])):
-            eid = e.get("id", "")
-            if not eid:
-                out.append(make("E_FMEA_ENTRY_ID", "risk entry needs an id", aid, f"body.entries[{i}].id"))
-            elif eid in seen:
-                out.append(make("E_FMEA_DUP_ID", f"entry id {eid!r} repeats", aid, f"body.entries[{i}].id"))
-            else:
-                seen.add(eid)
-            threatened = e.get("threatened_principles", [])
-            if not threatened:
-                out.append(
-                    make(
-                        "E_FMEA_NO_PRINCIPLES",
-                        "name at least one threatened principle",
-                        aid,
-                        f"body.entries[{i}].threatened_principles",
-                    )
-                )
-            check_principle_refs(threatened, f"body.entries[{i}].threatened_principles[{{i}}]")
-
-    elif kind is ArtifactKind.ADVERSARIAL_TESTING_REPORT:
-        for i, case in enumerate(body.get("test_cases", [])):
-            if not case.get("id"):
-                out.append(make("E_ATR_CASE_ID", "test case needs an id", aid, f"body.test_cases[{i}].id"))
-            target = case.get("target", "")
-            if not target:
-                out.append(make("E_ATR_NO_TARGET", "test case needs a target risk id or 'new'", aid, f"body.test_cases[{i}].target"))
-            trials = case.get("trials", 0)
-            failures = case.get("failures", 0)
-            if trials is not None and trials < 1:
-                out.append(make("E_ATR_NO_TRIALS", "run at least one trial", aid, f"body.test_cases[{i}].trials"))
-            if trials is not None and failures is not None and failures > trials:
-                out.append(make("E_ATR_COUNTS", f"{failures} failures in {trials} trials", aid, f"body.test_cases[{i}].failures"))
-            if target == "new":
-                new = case.get("new_entry")
-                if not new or not new.get("id") or new.get("severity") is None or not new.get("threatened_principles"):
-                    out.append(
-                        make(
-                            "E_ATR_NEW_ENTRY",
-                            "new-risk cases need an entry with id, severity, and threatened principles",
-                            aid,
-                            f"body.test_cases[{i}].new_entry",
-                        )
-                    )
-                elif new.get("threatened_principles"):
-                    check_principle_refs(new["threatened_principles"], f"body.test_cases[{i}].new_entry.threatened_principles[{{i}}]")
-
-    elif kind is ArtifactKind.ETHICAL_RISK_CHART:
-        for i, row in enumerate(body.get("rows", [])):
-            if not row.get("fmea_id"):
-                out.append(make("E_RC_ROW_ID", "row needs a risk entry id", aid, f"body.rows[{i}].fmea_id"))
-            if row.get("severity") is None or row.get("likelihood") is None or row.get("risk_class") is None:
-                out.append(
-                    make(
-                        "E_RC_ROW_INCOMPLETE",
-                        "row needs severity, likelihood, and risk_class",
-                        aid,
-                        f"body.rows[{i}]",
-                    )
-                )
-
-    elif kind is ArtifactKind.REMEDIATION_PLAN:
-        seen = set()
-        for i, item in enumerate(body.get("items", [])):
-            iid = item.get("id", "")
-            if not iid:
-                out.append(make("E_RP_ITEM_ID", "remediation item needs an id", aid, f"body.items[{i}].id"))
-            elif iid in seen:
-                out.append(make("E_RP_DUP_ID", f"item id {iid!r} repeats", aid, f"body.items[{i}].id"))
-            else:
-                seen.add(iid)
-            if not item.get("fmea_id"):
-                out.append(make("E_RP_NO_TARGET", "item must name the risk it mitigates", aid, f"body.items[{i}].fmea_id"))
-            if not item.get("action", "").strip():
-                out.append(make("E_RP_NO_ACTION", "item needs an action", aid, f"body.items[{i}].action"))
-
-    elif kind is ArtifactKind.AUDIT_SUMMARY_REPORT:
-        if body.get("verdict") is None:
-            out.append(make("E_SR_NO_VERDICT", "summary report needs a verdict", aid, "body.verdict"))
-        for i, finding in enumerate(body.get("principle_findings", [])):
-            pid = finding.get("principle", "")
-            if pid and pid not in known:
-                out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {pid!r} is not declared", aid, f"body.principle_findings[{i}].principle"))
-
+    _check(artifact.body, SCHEMAS[artifact.kind], "body", artifact.id, known, out)
+    rules = _CROSS_FIELD_RULES.get(artifact.kind)
+    if rules is not None:
+        rules(artifact.body, artifact.id, config or DEFAULT_VALIDATION, known, out)
     return sort_diagnostics(out)

@@ -302,6 +302,43 @@ def test_unknown_principle_reference_flagged():
     assert [d.code for d in validate_artifact(doc, SAMPLE_PRINCIPLES)] == ["E_PRINCIPLE_UNKNOWN"]
 
 
+# A required field holding only whitespace is blank, as it is for every
+# other required field.
+WHITESPACE_REQUIRED = [
+    (ArtifactKind.PRINCIPLES_DECLARATION, {"principles": [{"id": "  ", "name": "n"}]}, "E_PD_PRINCIPLE_ID", "body.principles[0].id"),
+    (ArtifactKind.PRINCIPLES_DECLARATION, {"principles": [{"id": "p", "name": " "}]}, "E_PD_PRINCIPLE_NAME", "body.principles[0].name"),
+    (ArtifactKind.PRODUCT_REQUIREMENTS_DOC, {"requirements": [{"id": "\t", "text": "t"}]}, "E_PRD_REQ_ID", "body.requirements[0].id"),
+    (ArtifactKind.PRODUCT_REQUIREMENTS_DOC, {"requirements": [{"id": "r", "text": "  "}]}, "E_PRD_REQ_TEXT", "body.requirements[0].text"),
+    (ArtifactKind.FMEA_REGISTER, {"entries": [{"id": " ", "threatened_principles": ["privacy"]}]}, "E_FMEA_ENTRY_ID", "body.entries[0].id"),
+    (ArtifactKind.ADVERSARIAL_TESTING_REPORT, {"test_cases": [{"id": " ", "target": "FM-1", "trials": 1}]}, "E_ATR_CASE_ID", "body.test_cases[0].id"),
+    (ArtifactKind.ADVERSARIAL_TESTING_REPORT, {"test_cases": [{"id": "t", "target": " ", "trials": 1}]}, "E_ATR_NO_TARGET", "body.test_cases[0].target"),
+    (ArtifactKind.ETHICAL_RISK_CHART, {"rows": [{"fmea_id": " ", "severity": 1, "likelihood": 1, "risk_class": "low"}]}, "E_RC_ROW_ID", "body.rows[0].fmea_id"),
+    (ArtifactKind.REMEDIATION_PLAN, {"items": [{"id": " ", "fmea_id": "FM-1", "action": "a"}]}, "E_RP_ITEM_ID", "body.items[0].id"),
+    (ArtifactKind.REMEDIATION_PLAN, {"items": [{"id": "i", "fmea_id": " ", "action": "a"}]}, "E_RP_NO_TARGET", "body.items[0].fmea_id"),
+]
+
+
+@pytest.mark.parametrize("kind, body, code, path", WHITESPACE_REQUIRED, ids=[row[2] for row in WHITESPACE_REQUIRED])
+def test_whitespace_only_required_field_is_blank(kind, body, code, path):
+    doc = make_artifact(kind, "x", body)
+    assert [(d.code, d.path) for d in validate_artifact(doc, SAMPLE_PRINCIPLES)] == [(code, path)]
+
+
+def test_blank_ids_take_no_part_in_the_repeat_check():
+    reqs = make_artifact(ArtifactKind.PRODUCT_REQUIREMENTS_DOC, "prd", {"requirements": [{"id": " ", "text": "t"}] * 2})
+    assert [d.code for d in validate_artifact(reqs, [])] == ["E_PRD_REQ_ID", "E_PRD_REQ_ID"]
+    checklist = make_artifact(ArtifactKind.DESIGN_CHECKLIST, "cl", {"items": [{"id": " ", "prompt": "p"}] * 2})
+    assert validate_artifact(checklist, []) == []
+
+
+def test_blank_summary_finding_principle_is_undeclared():
+    finding = {"principle": "", "risk_class": "low", "unexamined": False, "fmea_ids": []}
+    doc = make_artifact(ArtifactKind.AUDIT_SUMMARY_REPORT, "sr", {"principle_findings": [finding], "verdict": "stall"})
+    assert [(d.code, d.path) for d in validate_artifact(doc, SAMPLE_PRINCIPLES)] == [
+        ("E_PRINCIPLE_UNKNOWN", "body.principle_findings[0].principle")
+    ]
+
+
 def test_every_kind_has_schema_producer_and_home_stage():
     for kind in ArtifactKind:
         assert kind in SCHEMAS

@@ -17,6 +17,7 @@ Regenerate after an intended change with
 from __future__ import annotations
 
 import copy
+import difflib
 import random
 import zlib
 from pathlib import Path
@@ -139,7 +140,9 @@ def corpus_lines() -> list[str]:
 
 def test_corpus_matches_golden_and_shows_every_validation_code():
     lines = corpus_lines()
-    assert "\n".join(lines) + "\n" == GOLDEN.read_text(encoding="utf-8")
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    diff = list(difflib.unified_diff(expected, lines, "golden", "now", n=0, lineterm=""))
+    assert not diff, "\n".join(diff[:40])
     results = [line.split("\t", 1)[1].split() for line in lines]
     seen = {result[1] for result in results if result[0] in ("ERROR", "WARNING")}
     assert seen == VALIDATION_CODES
