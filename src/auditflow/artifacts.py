@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from datetime import datetime
 from enum import Enum
+from functools import cached_property
 from typing import Any, Optional
 
 import json
@@ -869,8 +869,6 @@ def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Di
         if value not in known:  # only ref strings are visited
             out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, path))
     elif isinstance(node, Seq):
-        if not isinstance(value, list):
-            return
         if node.unique:
             code, label = node.unique
             seen: set[str] = set()
@@ -884,7 +882,7 @@ def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Di
         if _descends(node.item):
             for i, item in enumerate(value):
                 _check(item, node.item, f"{path}[{i}]", aid, known, out)
-    elif isinstance(value, dict):  # a Map
+    else:  # a Map
         for key, child, need, descend in node.ruled:
             sub = value.get(key)
             if need and _blank(sub):

@@ -103,6 +103,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "W_UNEXAMINED_PRINCIPLE": (Severity.WARNING, "principle has no incident risk or requirement edges"),
     "E_ORPHAN_REQUIREMENT": (Severity.ERROR, "requirement has no evidencing artifact"),
     "E_HISTORY_GAP": (Severity.ERROR, "artifact content changed without a recorded version"),
+    "E_TRAIL_INVALID": (Severity.ERROR, "trail log line is not a trail record"),
     # reporting
     "E_MISSING_REMEDIATION": (Severity.ERROR, "no remediation plan for open high risks"),
     # configuration and lifecycle

@@ -22,6 +22,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -54,7 +55,7 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .risk import RiskMatrix, RiskRegister, validate_chart
-from .workflow import WorkflowConfig, WorkflowState, RequiredArtifact, validate_config
+from .workflow import RequiredArtifact, WorkflowConfig, WorkflowState, effective_home_stages, validate_config
 
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.lock"
@@ -79,6 +80,13 @@ _MANIFEST_FIELDS = {
 }
 
 _MATRIX_FIELDS = {"high_min_score", "high_min_severity", "low_max_score", "low_max_severity"}
+
+# manifest field -> the JSON types it takes (null stands for the default)
+_MANIFEST_TYPES = {
+    **dict.fromkeys(("product_name", "profile", "principles_ref", "verdict_blocking_class"), str),
+    **dict.fromkeys(("role_overrides", "stage_requirements", "risk_matrix"), dict),
+    **dict.fromkeys(("skew_threshold", "fraction_tolerance"), (int, float)),
+}
 
 TEMPLATE_PRINCIPLES = [
     {
@@ -154,10 +162,16 @@ class Manifest:
             raise AuditError("E_CONFIG", f"unknown manifest fields: {sorted(unknown)}")
         if "audit_id" not in raw or not isinstance(raw["audit_id"], str) or not raw["audit_id"]:
             raise AuditError("E_CONFIG", "manifest needs a non-empty audit_id")
+        for name, types in _MANIFEST_TYPES.items():
+            value = raw.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+                raise AuditError("E_CONFIG", f"manifest field {name} has the wrong type: {value!r}")
         matrix = raw.get("risk_matrix") or {}
         bad = set(matrix) - _MATRIX_FIELDS
         if bad:
             raise AuditError("E_CONFIG", f"unknown risk_matrix fields: {sorted(bad)}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in matrix.values()):
+            raise AuditError("E_CONFIG", f"risk_matrix values must be numbers: {matrix!r}")
         verbs = raw.get("closed_question_verbs")
         if verbs is not None and (not isinstance(verbs, list) or not all(isinstance(v, str) for v in verbs)):
             raise AuditError("E_CONFIG", "closed_question_verbs must be a list of strings")
@@ -176,7 +190,7 @@ class Manifest:
             verdict_blocking_class=raw.get("verdict_blocking_class", "high") or "high",
         )
         # fail fast on contradictory or non-monotone configuration
-        validate_config(manifest.workflow_config())
+        validate_config(manifest.workflow)
         matrix_obj = manifest.matrix()
         if not matrix_obj.is_monotone():
             raise AuditError("E_CONFIG", "risk_matrix override is not monotone in severity and likelihood")
@@ -184,7 +198,9 @@ class Manifest:
             raise AuditError("E_CONFIG", f"bad verdict_blocking_class {manifest.verdict_blocking_class!r}")
         return manifest
 
-    def workflow_config(self) -> WorkflowConfig:
+    @cached_property
+    def workflow(self) -> WorkflowConfig:
+        """The workflow table resolved from the manifest, built once."""
         roles = {}
         for kind_name, role_name in self.role_overrides.items():
             try:
@@ -293,17 +309,18 @@ class AuditRepository:
         if not manifest_path.is_file():
             raise AuditError("E_REPO", f"{root} has no {MANIFEST_NAME}")
         try:
-            manifest = Manifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
+            raw_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise AuditError("E_CONFIG", f"manifest is not valid JSON: {exc}")
+        manifest = Manifest.from_dict(raw_manifest)
 
         state = WorkflowState()
         state_path = root / STATE_NAME
         if state_path.is_file():
             try:
                 state = WorkflowState.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
-            except json.JSONDecodeError as exc:
-                raise AuditError("E_STATE_INVALID", f"{STATE_NAME} is not valid JSON: {exc}")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise AuditError("E_STATE_INVALID", f"{STATE_NAME} is not a workflow state: {exc!r}")
 
         artifacts: dict[str, ArtifactDocument] = {}
         parse_failures: list[tuple[str, list[Diagnostic]]] = []
@@ -359,7 +376,7 @@ class AuditRepository:
         return principles_from(doc) if doc else []
 
     def workflow_config(self) -> WorkflowConfig:
-        return self.manifest.workflow_config()
+        return self.manifest.workflow
 
     def risk_matrix(self) -> RiskMatrix:
         return self.manifest.matrix()
@@ -421,25 +438,18 @@ class AuditRepository:
         self._validation = per
 
         cross: list[Diagnostic] = list(self._load_diagnostics)
-        homes = None
-        try:
-            from .workflow import effective_home_stages
-
-            homes = effective_home_stages(self.workflow_config())
-        except AuditError:
-            pass
-        if homes:
-            for doc in self.artifacts.values():
-                expected = homes.get(doc.kind)
-                if expected is not None and doc.meta.stage is not expected:
-                    cross.append(
-                        make(
-                            "E_STAGE_MISMATCH",
-                            f"{doc.kind.value} belongs to stage {expected.value!r}",
-                            doc.id,
-                            "meta.stage",
-                        )
+        homes = effective_home_stages(self.workflow_config())
+        for doc in self.artifacts.values():
+            expected = homes.get(doc.kind)
+            if expected is not None and doc.meta.stage is not expected:
+                cross.append(
+                    make(
+                        "E_STAGE_MISMATCH",
+                        f"{doc.kind.value} belongs to stage {expected.value!r}",
+                        doc.id,
+                        "meta.stage",
                     )
+                )
         for kind in sorted(SINGLETON_KINDS, key=lambda k: k.value):
             docs = self.by_kind(kind)
             for extra in docs[1:]:
@@ -548,10 +558,12 @@ class AuditRepository:
         if not trail_path.is_file():
             return []
         records = []
-        for line in trail_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                records.append(TrailRecord.from_dict(json.loads(line)))
+        for number, line in enumerate(trail_path.read_bytes().splitlines(), 1):
+            if line.strip():
+                try:
+                    records.append(TrailRecord.from_dict(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:  # not UTF-8, not JSON or not a record
+                    raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} line {number} is not a trail record: {exc!r}")
         return records
 
     def trail(self) -> list[TrailRecord]:

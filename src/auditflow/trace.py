@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from . import clock
 from .artifacts import STAGES, ArtifactKind, Stage
 from .canonical import content_hash
 from .diagnostics import AuditError, Diagnostic, make, sort_diagnostics
 from .risk import RiskMatrix, RiskRegister
+from .workflow import GateLogEntry, WorkflowState, required_artifacts
 
 if TYPE_CHECKING:
     from .repository import AuditRepository
@@ -86,9 +88,6 @@ def build_graph(repo: "AuditRepository", *, generated_at: str | None = None) -> 
     Raises with code ``E_DANGLING_REF`` if any artifact references an id
     that does not exist.
     """
-    from . import clock
-    from .workflow import required_artifacts
-
     nodes: dict[str, TraceNode] = {}
     edges: set[TraceEdge] = set()
     problems: list[Diagnostic] = []
@@ -396,8 +395,6 @@ def reconstruct_trail(repo: "AuditRepository") -> list[TrailEvent]:
 
 def replay_workflow_state(events: list[TrailEvent]):
     """Fold gate events back into a workflow state (round-trip check)."""
-    from .workflow import GateLogEntry, WorkflowState
-
     entries = tuple(
         GateLogEntry(stage=Stage(e.ref), timestamp=e.timestamp, result="pass", diagnostics_hash=e.hash)
         for e in events

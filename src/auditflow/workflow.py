@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from . import clock
 from .artifacts import (
     ArtifactDocument,
     ArtifactKind,
@@ -88,13 +89,11 @@ PROFILES = ("full", "light")
 
 
 def required_artifacts(stage: Stage, config: WorkflowConfig | None = None) -> list[RequiredArtifact]:
-    """Required (kind, producer, min_status) triples for one stage."""
+    """Required (kind, producer, min_status) triples for one stage.
+
+    A manifest's config was checked with ``validate_config`` when it loaded.
+    """
     cfg = config or WorkflowConfig()
-    validate_config(cfg)
-    return _stage_requirements(stage, cfg)
-
-
-def _stage_requirements(stage: Stage, cfg: WorkflowConfig) -> list[RequiredArtifact]:
     if stage in cfg.stage_requirements:
         reqs = list(cfg.stage_requirements[stage])
     else:
@@ -118,7 +117,7 @@ def validate_config(cfg: WorkflowConfig) -> None:
         raise AuditError("E_CONFIG", f"unknown profile {cfg.profile!r}")
     stages_by_kind: dict[ArtifactKind, list[Stage]] = {}
     for stage in STAGES:
-        for r in _stage_requirements(stage, cfg):
+        for r in required_artifacts(stage, cfg):
             stages_by_kind.setdefault(r.kind, []).append(stage)
     for kind, stages in stages_by_kind.items():
         limit = 2 if kind is ArtifactKind.FMEA_REGISTER else 1
@@ -136,7 +135,7 @@ def effective_home_stages(config: WorkflowConfig | None = None) -> dict[Artifact
     homes = dict(KIND_HOME_STAGE)
     seen: dict[ArtifactKind, Stage] = {}
     for stage in STAGES:
-        for r in _stage_requirements(stage, cfg):
+        for r in required_artifacts(stage, cfg):
             seen.setdefault(r.kind, stage)
     homes.update(seen)
     return homes
@@ -354,8 +353,6 @@ def advance_stage(
     timestamp: str | None = None,
 ) -> WorkflowState:
     """Move the workflow to ``target`` if it is next and its gate passes."""
-    from . import clock
-
     state = repo.state
     expected = successor(state.current_stage)
     if expected is None or target is not expected:

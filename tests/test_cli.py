@@ -96,6 +96,52 @@ def test_validate_corruption_sweep_exits_one(smile_copy, capsys):
         victim.write_bytes(backup)
 
 
+def _manifest_with(**fields):
+    def corrupt(repo):
+        raw = json.loads((repo / "manifest.json").read_text())
+        raw.update(fields)
+        (repo / "manifest.json").write_text(json.dumps(raw))
+
+    return corrupt
+
+
+def _replace(name, data):
+    return lambda repo: (repo / name).write_bytes(data)
+
+
+def _append_trail(line):
+    return lambda repo: (repo / "trail.log").write_bytes((repo / "trail.log").read_bytes() + line + b"\n")
+
+
+# (id, corruption, command that reads the file, expected code)
+REPO_FILE_CORRUPTIONS = [
+    ("trail-not-json", _append_trail(b"{ not json"), "trace", "E_TRAIL_INVALID"),
+    ("trail-empty-object", _append_trail(b"{}"), "trace", "E_TRAIL_INVALID"),
+    ("trail-list", _append_trail(b"[1]"), "trace", "E_TRAIL_INVALID"),
+    ("trail-not-utf8", _append_trail(b"\xff\xfe"), "trace", "E_TRAIL_INVALID"),
+    ("state-unknown-stage", _replace("state.lock", b'{"current_stage": "nope"}'), "status", "E_STATE_INVALID"),
+    ("state-list", _replace("state.lock", b"[1]"), "status", "E_STATE_INVALID"),
+    ("state-empty-gate-entry", _replace("state.lock", b'{"gate_log": [{}]}'), "status", "E_STATE_INVALID"),
+    ("matrix-string", _manifest_with(risk_matrix={"high_min_score": "x"}), "validate", "E_CONFIG"),
+    ("skew-string", _manifest_with(skew_threshold="abc"), "validate", "E_CONFIG"),
+    ("skew-list", _manifest_with(skew_threshold=[1]), "validate", "E_CONFIG"),
+    ("role-overrides-list", _manifest_with(role_overrides=[1]), "validate", "E_CONFIG"),
+    ("stage-requirements-list", _manifest_with(stage_requirements=[1]), "validate", "E_CONFIG"),
+    ("principles-ref-list", _manifest_with(principles_ref=[1]), "validate", "E_CONFIG"),
+    ("manifest-not-utf8", _replace("manifest.json", b"\xff\xfe"), "validate", "E_CONFIG"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, command, expected", [case[1:] for case in REPO_FILE_CORRUPTIONS], ids=[case[0] for case in REPO_FILE_CORRUPTIONS]
+)
+def test_corrupted_manifest_state_or_trail_exits_two_with_its_code(smile_copy, capsys, corrupt, command, expected):
+    corrupt(smile_copy)
+    code, _, err = run(capsys, "--repo", str(smile_copy), command)
+    assert code == 2
+    assert err.startswith(f"error: {expected} ")
+
+
 def test_validate_machine_format_is_sorted_lines_only(smile_copy, capsys):
     from auditflow.canonical import content_hash
 

@@ -1,14 +1,19 @@
 """Static checks over the package source.
 
-Modules talk to each other through public names only, and the per-requirement
-gate diagnostics come from one evaluator, so ``gate``, ``status`` and the
-report's readiness lines cannot drift apart.
+Modules talk to each other through public names only and import each other
+at module level, the per-requirement gate diagnostics come from one
+evaluator, so ``gate``, ``status`` and the report's readiness lines cannot
+drift apart, and the diagnostic code registry matches the codes the source
+uses.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
+
+from auditflow.diagnostics import CODES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "auditflow"
 GATE_REQUIREMENT_CODES = {"E_GATE_MISSING", "E_GATE_STATUS", "E_GATE_PRODUCER", "E_GATE_INVALID"}
@@ -45,3 +50,36 @@ def test_gate_requirement_diagnostics_are_made_only_by_check_requirements():
                 evaluator = range(node.lineno, node.end_lineno + 1)
     assert evaluator is not None
     assert uses and all(name == "workflow.py" and line in evaluator for name, line in uses), uses
+
+
+def test_every_code_in_the_source_is_registered_and_every_registered_code_is_used():
+    used = set()
+    for name, tree in _modules():
+        if name == "diagnostics.py":  # the code registry
+            continue
+        used.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[EW]_[A-Z0-9_]+", node.value)
+        )
+    assert sorted(used - set(CODES)) == []
+    assert sorted(set(CODES) - used) == []
+
+
+def test_no_function_imports_a_sibling_module():
+    found = set()
+    for name, tree in _modules():
+        type_checking = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+            for inner in ast.walk(node)
+        }
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in type_checking
+                )
+    assert sorted(found) == []

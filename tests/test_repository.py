@@ -197,3 +197,9 @@ def test_bad_stage_requirement_entries_are_config_errors(entries, smile_copy, ca
     _set_manifest(smile_copy, stage_requirements={"scoping": entries})
     assert main(["--repo", str(smile_copy), "status"]) == 2
     assert "E_CONFIG" in capsys.readouterr().err
+
+
+def test_workflow_config_is_resolved_once_per_manifest(smile_repo):
+    config = smile_repo.workflow_config()
+    assert config is smile_repo.workflow_config() is smile_repo.manifest.workflow
+    assert config.profile == smile_repo.manifest.profile
