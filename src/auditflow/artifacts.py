@@ -216,6 +216,11 @@ class Seq:
     need: Need = None
     unique: Need = None
 
+    @cached_property
+    def item_descends(self) -> bool:
+        """Whether ``_check`` must visit the items."""
+        return _descends(self.item)
+
 
 @dataclass(frozen=True)
 class Map:
@@ -238,7 +243,7 @@ def _descends(node: "Node") -> bool:
     if isinstance(node, Map):
         return bool(node.ruled)
     if isinstance(node, Seq):
-        return bool(node.unique) or _descends(node.item)
+        return bool(node.unique) or node.item_descends
     return isinstance(node, Str) and node.ref
 
 
@@ -860,35 +865,46 @@ def _axis_is_skewed(fractions: list[float], threshold: float) -> bool:
 
 
 def _blank(value) -> bool:
-    return value is None or value == [] or (isinstance(value, str) and not value.strip())
+    """Absent, None, [] or blank after strip(): what a ``need`` rule rejects."""
+    return not value.strip() if isinstance(value, str) else value is None or value == []
 
 
-def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Diagnostic]) -> None:
-    """Apply the schema's need / unique / ref rules below one present value."""
-    if isinstance(node, Str):
-        if value not in known:  # only ref strings are visited
-            out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, path))
+def _path(at) -> str:
+    """Render a location: a path string, or (parent location, key or index)."""
+    if isinstance(at, str):
+        return at
+    parent, step = at
+    return f"{_path(parent)}[{step}]" if isinstance(step, int) else f"{_path(parent)}.{step}"
+
+
+def _check(value, node: Node, at, aid: str, known: set[str], out: list[Diagnostic]) -> None:
+    """Apply the schema's need / unique / ref rules below one present value.
+
+    ``at`` is the value's location as :func:`_path` reads it; it is only
+    rendered for a diagnostic, so clean values cost no string building.
+    """
+    if isinstance(node, Map):
+        for key, child, need, descend in node.ruled:
+            sub = value.get(key)
+            if need and _blank(sub):
+                out.append(make(need[0], need[1], aid, _path((at, key))))
+            elif descend and sub is not None:
+                _check(sub, child, (at, key), aid, known, out)
     elif isinstance(node, Seq):
         if node.unique:
             code, label = node.unique
             seen: set[str] = set()
             for i, item in enumerate(value):
                 iid = item.get("id")
-                if _blank(iid):
-                    continue
                 if iid in seen:
-                    out.append(make(code, f"{label} {iid!r} repeats", aid, f"{path}[{i}].id"))
-                seen.add(iid)
-        if _descends(node.item):
+                    out.append(make(code, f"{label} {iid!r} repeats", aid, _path(((at, i), "id"))))
+                elif not _blank(iid):
+                    seen.add(iid)
+        if node.item_descends:
             for i, item in enumerate(value):
-                _check(item, node.item, f"{path}[{i}]", aid, known, out)
-    else:  # a Map
-        for key, child, need, descend in node.ruled:
-            sub = value.get(key)
-            if need and _blank(sub):
-                out.append(make(need[0], need[1], aid, f"{path}.{key}"))
-            elif descend and sub is not None:
-                _check(sub, child, f"{path}.{key}", aid, known, out)
+                _check(item, node.item, (at, i), aid, known, out)
+    elif value not in known:  # a principle ref
+        out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, _path(at)))
 
 
 def _review_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:

@@ -557,12 +557,16 @@ class AuditRepository:
         trail_path = self.path / TRAIL_NAME
         if not trail_path.is_file():
             return []
+        try:
+            lines = trail_path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} is not UTF-8 text: {exc}")
         records = []
-        for number, line in enumerate(trail_path.read_bytes().splitlines(), 1):
+        for number, line in enumerate(lines, 1):
             if line.strip():
                 try:
                     records.append(TrailRecord.from_dict(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:  # not UTF-8, not JSON or not a record
+                except (KeyError, TypeError, ValueError) as exc:  # not JSON, or not a record
                     raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} line {number} is not a trail record: {exc!r}")
         return records
 
