@@ -216,11 +216,6 @@ class Seq:
     need: Need = None
     unique: Need = None
 
-    @cached_property
-    def item_descends(self) -> bool:
-        """Whether ``_check`` must visit the items."""
-        return _descends(self.item)
-
 
 @dataclass(frozen=True)
 class Map:
@@ -243,7 +238,7 @@ def _descends(node: "Node") -> bool:
     if isinstance(node, Map):
         return bool(node.ruled)
     if isinstance(node, Seq):
-        return bool(node.unique) or node.item_descends
+        return bool(node.unique) or _descends(node.item)
     return isinstance(node, Str) and node.ref
 
 
@@ -869,27 +864,15 @@ def _blank(value) -> bool:
     return not value.strip() if isinstance(value, str) else value is None or value == []
 
 
-def _path(at) -> str:
-    """Render a location: a path string, or (parent location, key or index)."""
-    if isinstance(at, str):
-        return at
-    parent, step = at
-    return f"{_path(parent)}[{step}]" if isinstance(step, int) else f"{_path(parent)}.{step}"
-
-
-def _check(value, node: Node, at, aid: str, known: set[str], out: list[Diagnostic]) -> None:
-    """Apply the schema's need / unique / ref rules below one present value.
-
-    ``at`` is the value's location as :func:`_path` reads it; it is only
-    rendered for a diagnostic, so clean values cost no string building.
-    """
+def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Diagnostic]) -> None:
+    """Apply the schema's need / unique / ref rules below one present value."""
     if isinstance(node, Map):
         for key, child, need, descend in node.ruled:
             sub = value.get(key)
             if need and _blank(sub):
-                out.append(make(need[0], need[1], aid, _path((at, key))))
+                out.append(make(need[0], need[1], aid, f"{path}.{key}"))
             elif descend and sub is not None:
-                _check(sub, child, (at, key), aid, known, out)
+                _check(sub, child, f"{path}.{key}", aid, known, out)
     elif isinstance(node, Seq):
         if node.unique:
             code, label = node.unique
@@ -897,14 +880,14 @@ def _check(value, node: Node, at, aid: str, known: set[str], out: list[Diagnosti
             for i, item in enumerate(value):
                 iid = item.get("id")
                 if iid in seen:
-                    out.append(make(code, f"{label} {iid!r} repeats", aid, _path(((at, i), "id"))))
+                    out.append(make(code, f"{label} {iid!r} repeats", aid, f"{path}[{i}].id"))
                 elif not _blank(iid):
                     seen.add(iid)
-        if node.item_descends:
+        if _descends(node.item):
             for i, item in enumerate(value):
-                _check(item, node.item, (at, i), aid, known, out)
+                _check(item, node.item, f"{path}[{i}]", aid, known, out)
     elif value not in known:  # a principle ref
-        out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, _path(at)))
+        out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, path))
 
 
 def _review_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
@@ -953,9 +936,6 @@ def _checklist_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str
             )
 
 
-_NEW_ENTRY_REFS = Seq(PRINCIPLE_REF)
-
-
 def _testing_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
     for i, case in enumerate(body.get("test_cases", [])):
         path = f"body.test_cases[{i}]"
@@ -978,7 +958,8 @@ def _testing_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str],
                 )
             )
         else:
-            _check(new["threatened_principles"], _NEW_ENTRY_REFS, f"{path}.new_entry.threatened_principles", aid, known, out)
+            refs_path = f"{path}.new_entry.threatened_principles"
+            _check(new["threatened_principles"], Seq(PRINCIPLE_REF), refs_path, aid, known, out)
 
 
 def _chart_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:

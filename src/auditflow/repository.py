@@ -265,7 +265,7 @@ class TrailRecord:
 
     @staticmethod
     def from_dict(raw: dict) -> "TrailRecord":
-        return TrailRecord(
+        record = TrailRecord(
             timestamp=raw["timestamp"],
             event=raw["event"],
             artifact_id=raw["artifact_id"],
@@ -273,6 +273,10 @@ class TrailRecord:
             hash=raw["hash"],
             status=raw.get("status", "draft"),
         )
+        texts = (record.timestamp, record.event, record.artifact_id, record.hash, record.status)
+        if not all(isinstance(v, str) for v in texts):
+            raise TypeError("trail record fields other than version must be strings")
+        return record
 
 
 class AuditRepository:

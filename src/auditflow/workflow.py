@@ -89,10 +89,7 @@ PROFILES = ("full", "light")
 
 
 def required_artifacts(stage: Stage, config: WorkflowConfig | None = None) -> list[RequiredArtifact]:
-    """Required (kind, producer, min_status) triples for one stage.
-
-    A manifest's config was checked with ``validate_config`` when it loaded.
-    """
+    """Required (kind, producer, min_status) triples for one stage (a table lookup)."""
     cfg = config or WorkflowConfig()
     if stage in cfg.stage_requirements:
         reqs = list(cfg.stage_requirements[stage])
@@ -160,13 +157,16 @@ class GateLogEntry:
 
     @staticmethod
     def from_dict(raw: dict) -> "GateLogEntry":
-        return GateLogEntry(
+        entry = GateLogEntry(
             stage=Stage(raw["stage"]),
             timestamp=raw["timestamp"],
             result=raw["result"],
             diagnostics_hash=raw["diagnostics_hash"],
             waived=bool(raw.get("waived", False)),
         )
+        if not all(isinstance(v, str) for v in (entry.timestamp, entry.result, entry.diagnostics_hash)):
+            raise TypeError("gate log timestamp, result and diagnostics_hash must be strings")
+        return entry
 
 
 @dataclass(frozen=True)

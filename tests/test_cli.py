@@ -119,9 +119,21 @@ REPO_FILE_CORRUPTIONS = [
     ("trail-empty-object", _append_trail(b"{}"), "trace", "E_TRAIL_INVALID"),
     ("trail-list", _append_trail(b"[1]"), "trace", "E_TRAIL_INVALID"),
     ("trail-not-utf8", _append_trail(b"\xff\xfe"), "trace", "E_TRAIL_INVALID"),
+    (
+        "trail-field-type",
+        _append_trail(b'{"timestamp": 1, "event": "created", "artifact_id": "x", "version": 1, "hash": "h"}'),
+        "trace",
+        "E_TRAIL_INVALID",
+    ),
     ("state-unknown-stage", _replace("state.lock", b'{"current_stage": "nope"}'), "status", "E_STATE_INVALID"),
     ("state-list", _replace("state.lock", b"[1]"), "status", "E_STATE_INVALID"),
     ("state-empty-gate-entry", _replace("state.lock", b'{"gate_log": [{}]}'), "status", "E_STATE_INVALID"),
+    (
+        "state-field-type",
+        _replace("state.lock", b'{"gate_log": [{"stage": "mapping", "timestamp": 1, "result": "pass", "diagnostics_hash": "h"}]}'),
+        "trace",
+        "E_STATE_INVALID",
+    ),
     ("matrix-string", _manifest_with(risk_matrix={"high_min_score": "x"}), "validate", "E_CONFIG"),
     ("skew-string", _manifest_with(skew_threshold="abc"), "validate", "E_CONFIG"),
     ("skew-list", _manifest_with(skew_threshold=[1]), "validate", "E_CONFIG"),
