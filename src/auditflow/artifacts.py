@@ -177,12 +177,12 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 #   ref=True              on Str: the value names a declared principle.
 # Rules that relate several fields live in ``_CROSS_FIELD_RULES``.
 
-Need = Optional[tuple[str, str]]
+Rule = Optional[tuple[str, str]]  # (diagnostic code, message or label)
 
 
 @dataclass(frozen=True)
 class Str:
-    need: Need = None
+    need: Rule = None
     ref: bool = False
 
 
@@ -195,7 +195,7 @@ class Flag:
 class Count:
     lo: Optional[int] = None
     hi: Optional[int] = None
-    need: Need = None
+    need: Rule = None
 
 
 @dataclass(frozen=True)
@@ -207,14 +207,14 @@ class Real:
 @dataclass(frozen=True)
 class Choice:
     values: tuple[str, ...]
-    need: Need = None
+    need: Rule = None
 
 
 @dataclass(frozen=True)
 class Seq:
     item: "Node"
-    need: Need = None
-    unique: Need = None
+    need: Rule = None
+    unique: Rule = None
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class Map:
     fields: dict[str, "Node"]
 
     @cached_property
-    def ruled(self) -> tuple[tuple[str, "Node", Need, bool], ...]:
+    def ruled(self) -> tuple[tuple[str, "Node", Rule, bool], ...]:
         """(key, node, need, descend) for each field that carries a rule or
         contains one; ``descend`` is whether ``_check`` must visit it."""
         out = []
