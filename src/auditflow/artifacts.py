@@ -3,8 +3,10 @@
 An artifact file is a JSON (or YAML) object with two top-level sections:
 ``meta`` (shared header fields) and ``body`` (a kind-specific schema).
 Parsing is strict: unknown fields, bad types, out-of-domain values, and
-content-hash mismatches are all rejected with stable diagnostic codes.
-Validation is a separate, pure pass that reports semantic violations as
+content-hash mismatches are all rejected with stable diagnostic codes. The
+schema is checked on the decoded body in place, and the content hash only
+on a body that fits the schema, so a misfit value is reported once and not
+again as a hash mismatch. Validation is a separate, pure pass that reports semantic violations as
 diagnostics instead of failing. Its single-field rules are annotations on
 the schema: ``need`` (the field is present and not blank), ``unique`` (no
 two list items share an id) and ``ref`` (the value names a declared
@@ -596,63 +598,49 @@ def principles_from(doc: ArtifactDocument) -> list[Principle]:
 _META_FIELDS = ("id", "kind", "producer", "stage", "version", "created_at", "content_hash", "status")
 
 
-def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: str | None) -> Any:
+def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: str | None) -> None:
+    """Check a decoded value against its schema node in place; one diagnostic per misfit."""
     if isinstance(node, Str):
         if not isinstance(value, str):
             diags.append(make("E_FIELD_TYPE", f"expected a string, got {type(value).__name__}", artifact_id, path))
-            return None
-        return value
-    if isinstance(node, Flag):
+    elif isinstance(node, Flag):
         if not isinstance(value, bool):
             diags.append(make("E_FIELD_TYPE", f"expected a boolean, got {type(value).__name__}", artifact_id, path))
-            return None
-        return value
-    if isinstance(node, Count):
+    elif isinstance(node, Count):
         if isinstance(value, bool) or not isinstance(value, int):
             diags.append(make("E_FIELD_TYPE", f"expected an integer, got {type(value).__name__}", artifact_id, path))
-            return None
-        if (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
+        elif (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
             diags.append(make("E_FIELD_VALUE", f"{value} outside [{node.lo}, {node.hi}]", artifact_id, path))
-            return None
-        return value
-    if isinstance(node, Real):
+    elif isinstance(node, Real):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             diags.append(make("E_FIELD_TYPE", f"expected a number, got {type(value).__name__}", artifact_id, path))
-            return None
-        out = float(value)
-        if not math.isfinite(out):
+        elif not math.isfinite(value):
             diags.append(make("E_FIELD_VALUE", "value must be finite", artifact_id, path))
-            return None
-        if (node.lo is not None and out < node.lo) or (node.hi is not None and out > node.hi):
-            diags.append(make("E_FIELD_VALUE", f"{out} outside [{node.lo}, {node.hi}]", artifact_id, path))
-            return None
-        return value
-    if isinstance(node, Choice):
+        elif (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
+            diags.append(make("E_FIELD_VALUE", f"{float(value)} outside [{node.lo}, {node.hi}]", artifact_id, path))
+    elif isinstance(node, Choice):
         if not isinstance(value, str):
             diags.append(make("E_FIELD_TYPE", f"expected a string, got {type(value).__name__}", artifact_id, path))
-            return None
-        if value not in node.values:
+        elif value not in node.values:
             diags.append(make("E_FIELD_VALUE", f"{value!r} not one of {sorted(node.values)}", artifact_id, path))
-            return None
-        return value
-    if isinstance(node, Seq):
+    elif isinstance(node, Seq):
         if not isinstance(value, list):
             diags.append(make("E_FIELD_TYPE", f"expected a list, got {type(value).__name__}", artifact_id, path))
-            return None
-        return [_walk(v, node.item, f"{path}[{i}]", diags, artifact_id) for i, v in enumerate(value)]
-    if isinstance(node, Map):
+        else:
+            for i, item in enumerate(value):
+                _walk(item, node.item, f"{path}[{i}]", diags, artifact_id)
+    elif isinstance(node, Map):
         if not isinstance(value, dict):
             diags.append(make("E_FIELD_TYPE", f"expected an object, got {type(value).__name__}", artifact_id, path))
-            return None
-        out: dict = {}
-        for key in value:
+            return
+        for key, item in value.items():
             kpath = f"{path}.{key}" if path else key
             if not isinstance(key, str) or key not in node.fields:
                 diags.append(make("E_UNKNOWN_FIELD", f"field {key!r} is not in the schema", artifact_id, kpath))
-                continue
-            out[key] = _walk(value[key], node.fields[key], kpath, diags, artifact_id)
-        return out
-    raise TypeError(f"bad schema node: {node!r}")
+            else:
+                _walk(item, node.fields[key], kpath, diags, artifact_id)
+    else:
+        raise TypeError(f"bad schema node: {node!r}")
 
 
 def _parse_meta(raw: dict, diags: list[Diagnostic]) -> Optional[ArtifactMeta]:
@@ -778,9 +766,10 @@ def parse_artifact(raw_document: bytes | str, expected_kind: ArtifactKind | None
             )
         )
 
-    body_raw = data.get("body", {})
-    body = _walk(body_raw, SCHEMAS[meta.kind], "body", diags, meta.id)
-    if isinstance(body, dict):
+    body = data.get("body", {})
+    found = len(diags)
+    _walk(body, SCHEMAS[meta.kind], "body", diags, meta.id)
+    if len(diags) == found:  # hash only a body that fits the schema
         actual = content_hash(body)
         if actual != meta.content_hash:
             diags.append(

@@ -96,6 +96,15 @@ def test_hash_mismatch_detected():
     assert _codes(exc) == ["E_HASH_MISMATCH"]
 
 
+@pytest.mark.parametrize("severity, code", [("high", "E_FIELD_TYPE"), (99, "E_FIELD_VALUE")])
+def test_misfit_body_with_a_matching_hash_reports_only_the_misfit(severity, code):
+    body = {"entries": [{"id": "r1", "severity": severity, "threatened_principles": ["privacy"]}]}
+    doc = make_artifact(ArtifactKind.FMEA_REGISTER, "fmea", body)  # the header hash fits the body as written
+    with pytest.raises(ArtifactParseError) as exc:
+        parse_artifact(serialize_artifact(doc))
+    assert _codes(exc) == [code]
+
+
 def test_missing_meta_fields_reported_each():
     doc = make_artifact(ArtifactKind.MODEL_CARD, "mc", {})
     raw = _doc_dict(doc)
