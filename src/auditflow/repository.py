@@ -23,7 +23,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterator, Optional
 
 from . import clock
@@ -293,6 +293,7 @@ class AuditRepository:
         artifacts: dict[str, ArtifactDocument],
         parse_failures: list[tuple[str, list[Diagnostic]]],
         load_diagnostics: list[Diagnostic],
+        file_digests: dict[str, str],
     ):
         self.path = Path(path)
         self.manifest = manifest
@@ -300,6 +301,9 @@ class AuditRepository:
         self.artifacts = artifacts
         self.parse_failures = parse_failures
         self._load_diagnostics = load_diagnostics
+        # repo-relative path -> sha256 of the bytes, for the manifest and every
+        # artifact file; writes keep it in step with the files they touch
+        self._file_digests = file_digests
         self._validation: Optional[dict[str, list[Diagnostic]]] = None
         self._cross: Optional[list[Diagnostic]] = None
         self._checklist_reports: dict[str, ChecklistReport] = {}
@@ -315,11 +319,13 @@ class AuditRepository:
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.is_file():
             raise AuditError("E_REPO", f"{root} has no {MANIFEST_NAME}")
+        manifest_bytes = manifest_path.read_bytes()
         try:
-            raw_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            raw_manifest = json.loads(manifest_bytes.decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise AuditError("E_CONFIG", f"manifest is not valid JSON: {exc}")
         manifest = Manifest.from_dict(raw_manifest)
+        file_digests = {MANIFEST_NAME: hash_bytes(manifest_bytes)}
 
         state = WorkflowState()
         state_path = root / STATE_NAME
@@ -338,8 +344,10 @@ class AuditRepository:
                 if not file.is_file() or file.suffix not in ARTIFACT_SUFFIXES:
                     continue
                 rel = file.relative_to(root).as_posix()
+                data = file.read_bytes()
+                file_digests[rel] = hash_bytes(data)
                 try:
-                    doc = parse_artifact(file.read_bytes())
+                    doc = parse_artifact(data)
                 except ArtifactParseError as exc:
                     parse_failures.append((rel, list(exc.diagnostics)))
                     continue
@@ -359,7 +367,7 @@ class AuditRepository:
                         )
                     )
                 artifacts[doc.id] = doc
-        return cls(root, manifest, state, artifacts, parse_failures, load_diags)
+        return cls(root, manifest, state, artifacts, parse_failures, load_diags, file_digests)
 
     # -- simple accessors ----------------------------------------------------
 
@@ -415,21 +423,16 @@ class AuditRepository:
     def repo_content_hash(self) -> str:
         """Hash of manifest plus artifact files, excluding the summary report.
 
-        The summary report distills the repository, so including it would
-        make report compilation self-referential and unstable.
+        Built from the byte digests ``load`` took and writes kept in step, so
+        it opens no file: the manifest first, then the artifact files in path
+        order. The summary report distills the repository, so including it
+        would make report compilation self-referential and unstable.
         """
-        entries: list[tuple[str, str]] = []
-        manifest_path = self.path / MANIFEST_NAME
-        entries.append((MANIFEST_NAME, hash_bytes(manifest_path.read_bytes())))
-        art_root = self.path / ARTIFACT_DIR
         summary_ids = {d.id for d in self.by_kind(ArtifactKind.AUDIT_SUMMARY_REPORT)}
-        if art_root.is_dir():
-            for file in sorted(art_root.rglob("*")):
-                if not file.is_file() or file.suffix not in ARTIFACT_SUFFIXES:
-                    continue
-                if file.stem in summary_ids:
-                    continue
-                entries.append((file.relative_to(self.path).as_posix(), hash_bytes(file.read_bytes())))
+        entries = [(MANIFEST_NAME, self._file_digests[MANIFEST_NAME])]
+        for rel in sorted(self._file_digests, key=PurePosixPath):
+            if rel != MANIFEST_NAME and PurePosixPath(rel).stem not in summary_ids:
+                entries.append((rel, self._file_digests[rel]))
         return content_hash(entries)
 
     # -- validation -----------------------------------------------------------
@@ -559,6 +562,9 @@ class AuditRepository:
     def artifact_path(self, doc: ArtifactDocument) -> Path:
         return self.path / ARTIFACT_DIR / doc.meta.stage.value / f"{doc.id}.json"
 
+    def _relative(self, path: Path) -> str:
+        return path.relative_to(self.path).as_posix()
+
     def trail_records(self) -> list[TrailRecord]:
         """Read and parse ``trail.log``; the only reader of the file."""
         trail_path = self.path / TRAIL_NAME
@@ -645,13 +651,16 @@ class AuditRepository:
                 )
             path = self.artifact_path(doc)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(serialize_artifact(doc))
+            data = serialize_artifact(doc)
+            path.write_bytes(data)
+            self._file_digests[self._relative(path)] = hash_bytes(data)
             self._append_trail(self._observation_events(doc, recorded[-1] if recorded else None))
         stale = self.artifacts.get(doc.id)
         if stale is not None and stale.meta.stage is not doc.meta.stage:
             old_path = self.artifact_path(stale)
             if old_path.exists():
                 old_path.unlink()
+                self._file_digests.pop(self._relative(old_path), None)
         self.artifacts[doc.id] = doc
         self._invalidate()
         return doc

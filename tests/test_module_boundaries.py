@@ -3,8 +3,8 @@
 Modules talk to each other through public names only and import each other
 at module level, the per-requirement gate diagnostics come from one
 evaluator, so ``gate``, ``status`` and the report's readiness lines cannot
-drift apart, and the diagnostic code registry matches the codes the source
-uses.
+drift apart, the diagnostic code registry matches the codes the source
+uses, and ``AuditRepository.load`` is the one reader of the artifact tree.
 """
 
 from __future__ import annotations
@@ -83,3 +83,16 @@ def test_no_function_imports_a_sibling_module():
                     if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in type_checking
                 )
     assert sorted(found) == []
+
+
+def test_only_load_walks_the_artifact_tree():
+    tree = ast.parse((PACKAGE / "repository.py").read_text(encoding="utf-8"))
+    repo_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AuditRepository")
+    load = next(n for n in repo_class.body if isinstance(n, ast.FunctionDef) and n.name == "load")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "rglob(" in line and not (path.name == "repository.py" and load.lineno <= number <= load.end_lineno)
+    ]
+    assert found == []

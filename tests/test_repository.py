@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from auditflow import clock
-from auditflow.artifacts import ArtifactKind, make_artifact, serialize_artifact
+from auditflow.artifacts import ArtifactKind, Stage, make_artifact, serialize_artifact
 from auditflow.cli import main
 from auditflow.diagnostics import AuditError
 from auditflow.repository import LOCK_NAME, TRAIL_NAME, AuditRepository, Manifest, TrailRecord, init_repository
@@ -119,6 +121,42 @@ def test_report_that_rewrites_nothing_reads_the_trail_once(smile_copy, trail_rea
     assert main(["--repo", str(smile_copy), "report"]) == 0
     assert len(trail_reads) == 1
     assert (smile_copy / TRAIL_NAME).read_bytes() == trail
+
+
+# -- one read of each artifact file ------------------------------------------------
+
+@pytest.mark.parametrize("command", ["trace", "report"])
+def test_trace_and_report_read_each_artifact_file_once(smile_copy, monkeypatch, capsys, command):
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        reads[self] += 1
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    files = sorted((smile_copy / "artifacts").rglob("*.json"))
+    assert main(["--repo", str(smile_copy), command]) == 0
+    assert [reads[file] for file in files] == [1] * len(files)
+    assert max(reads.values()) == 1
+
+
+def test_repo_hash_after_each_write_equals_the_hash_of_a_fresh_load(tmp_path):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    (path / "artifacts" / "mapping" / "broken.json").write_bytes(b"{ not a document")
+    repo = AuditRepository.load(path)
+    assert repo.parse_failures
+    moved = make_artifact(
+        ArtifactKind.FIELD_STUDY_REPORT, "study", _study("study").body, version=3, stage=Stage.SCOPING, created_at=T0
+    )
+    hashes = {repo.repo_content_hash()}
+    for doc in (_study("study"), _study("study", version=2, finding="x"), moved):  # new, bumped, moved
+        repo.write_artifact(doc)
+        hashes.add(repo.repo_content_hash())
+        assert repo.repo_content_hash() == AuditRepository.load(path).repo_content_hash()
+    assert not (path / "artifacts" / "mapping" / "study.json").exists()
+    assert len(hashes) == 4
 
 
 def test_register_is_parsed_once_per_snapshot_and_dropped_by_a_write(smile_repo):
