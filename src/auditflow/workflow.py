@@ -186,12 +186,13 @@ class WorkflowState:
             current_stage=Stage(raw.get("current_stage", Stage.SCOPING.value)),
             gate_log=tuple(GateLogEntry.from_dict(e) for e in raw.get("gate_log", [])),
         )
-        passed = [e.stage for e in state.gate_log if e.result == "pass"]
-        for a, b in zip(passed, passed[1:]):
-            if b.order <= a.order:
-                raise AuditError("E_STATE_INVALID", "gate log stages must be strictly increasing")
-        if len(set(passed)) != len(passed):
-            raise AuditError("E_STATE_INVALID", "a stage may pass its gate at most once")
+        passed = tuple(e.stage for e in state.gate_log if e.result == "pass")
+        if passed != STAGES[1 : len(passed) + 1]:
+            raise AuditError("E_STATE_INVALID", "gate log must pass the gates in stage order, each once, from Mapping")
+        if state.current_stage is not (passed[-1] if passed else Stage.SCOPING):
+            raise AuditError(
+                "E_STATE_INVALID", f"current stage {state.current_stage.value!r} is not the last stage whose gate passed"
+            )
         return state
 
 

@@ -134,6 +134,18 @@ REPO_FILE_CORRUPTIONS = [
         "trace",
         "E_STATE_INVALID",
     ),
+    ("state-stage-without-gates", _replace("state.lock", b'{"current_stage": "reflection", "gate_log": []}'), "status", "E_STATE_INVALID"),
+    (
+        "state-skipped-gate",
+        _replace(
+            "state.lock",
+            b'{"current_stage": "testing", "gate_log": ['
+            b'{"stage": "mapping", "timestamp": "t", "result": "pass", "diagnostics_hash": "h"}, '
+            b'{"stage": "testing", "timestamp": "t", "result": "pass", "diagnostics_hash": "h"}]}',
+        ),
+        "status",
+        "E_STATE_INVALID",
+    ),
     ("matrix-string", _manifest_with(risk_matrix={"high_min_score": "x"}), "validate", "E_CONFIG"),
     ("skew-string", _manifest_with(skew_threshold="abc"), "validate", "E_CONFIG"),
     ("skew-list", _manifest_with(skew_threshold=[1]), "validate", "E_CONFIG"),
