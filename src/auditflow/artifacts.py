@@ -5,13 +5,13 @@ An artifact file is a JSON (or YAML) object with two top-level sections:
 Parsing is strict: unknown fields, bad types, out-of-domain values, and
 content-hash mismatches are all rejected with stable diagnostic codes. The
 schema is checked on the decoded body in place, and the content hash only
-on a body that fits the schema, so a misfit value is reported once and not
-again as a hash mismatch. Validation is a separate, pure pass that reports semantic violations as
-diagnostics instead of failing. Its single-field rules are annotations on
-the schema: ``need`` (the field is present and not blank), ``unique`` (no
-two list items share an id) and ``ref`` (the value names a declared
-principle); the few rules that relate several fields are one function per
-kind.
+on a body that fits the schema, so a misfit value is not reported again as
+a hash mismatch. Validation is a separate, pure pass that reports semantic
+violations as diagnostics instead of failing. Its single-field rules are
+annotations on the schema: ``need`` (the field is present and not blank),
+``unique`` (no two list items share an id) and ``ref`` (the value names a
+declared principle); the few rules that relate several fields are one
+function per kind.
 """
 
 from __future__ import annotations
@@ -881,8 +881,8 @@ def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Di
 
 def _review_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
     if body.get("board_decision") == "approve":
-        standpoints = {r.get("standpoint", "") for r in body.get("reviewers", [])} - {""}
-        if len(standpoints) < 2:
+        standpoints = {r.get("standpoint") for r in body.get("reviewers", [])}
+        if len([s for s in standpoints if not _blank(s)]) < 2:
             message = "approval needs reviewers from at least two distinct standpoints"
             out.append(make("E_ER_STANDPOINTS", message, aid, "body.reviewers"))
 
@@ -937,7 +937,7 @@ def _testing_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str],
         if case.get("target") != "new":
             continue
         new = case.get("new_entry")
-        if not new or not new.get("id") or new.get("severity") is None or not new.get("threatened_principles"):
+        if not new or _blank(new.get("id")) or new.get("severity") is None or not new.get("threatened_principles"):
             out.append(
                 make(
                     "E_ATR_NEW_ENTRY",

@@ -273,6 +273,20 @@ def test_ethical_review_needs_two_standpoints_for_approval():
     assert validate_artifact(doc, []) == []
 
 
+def test_blank_standpoint_does_not_count_toward_approval():
+    reviewers = [{"name": "a", "standpoint": "privacy"}, {"name": "b", "standpoint": "  "}]
+    body = {"impacted_groups": [{"group": "users"}], "reviewers": reviewers, "board_decision": "approve"}
+    doc = make_artifact(ArtifactKind.ETHICAL_REVIEW, "er", body)
+    assert [d.code for d in validate_artifact(doc, [])] == ["E_ER_STANDPOINTS"]
+
+
+def test_new_risk_case_with_a_blank_entry_id_is_incomplete():
+    new_entry = {"id": "  ", "severity": 3, "threatened_principles": ["privacy"]}
+    case = {"id": "t1", "target": "new", "trials": 5, "failures": 1, "new_entry": new_entry}
+    doc = make_artifact(ArtifactKind.ADVERSARIAL_TESTING_REPORT, "atr", {"test_cases": [case]})
+    assert [d.code for d in validate_artifact(doc, SAMPLE_PRINCIPLES)] == ["E_ATR_NEW_ENTRY"]
+
+
 def test_ethical_review_requires_impacted_groups():
     doc = make_artifact(ArtifactKind.ETHICAL_REVIEW, "er", {"use_case": "x", "board_decision": "reject"})
     assert [d.code for d in validate_artifact(doc, [])] == ["E_ER_NO_IMPACTED_GROUPS"]
