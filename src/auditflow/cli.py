@@ -4,9 +4,15 @@ Commands: ``init``, ``validate``, ``status``, ``gate``, ``risk``,
 ``trace``, ``report``. All take ``--repo`` (default ``.``) and most accept
 ``--format {text,machine}`` where machine output is the sorted diagnostic
 line format. Exit codes: 0 success/pass, 1 parse failure (validate), 2
-failure or error, 3 usage. Read commands never take the repository lock and
-never write; write actions are opt-in flags (``--advance``,
-``--ingest-tests``) or the ``trace``/``report`` output files.
+failure or error, 3 usage.
+
+``validate``, ``status``, ``gate`` and ``risk`` only read. ``trace`` writes
+``adhf.graph``; ``report`` writes ``audit_report.txt`` and, when its content
+changed, a new version of the summary artifact. Both append the artifact
+versions that ``trail.log`` has not seen yet, as do ``gate --advance``, which
+also rewrites ``state.lock``, and ``risk --ingest-tests``, which also writes
+a new register version. Artifact and state writes take the repository lock;
+the appends of unseen versions do not.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ from .workflow import check_requirements
 if TYPE_CHECKING:
     from .repository import AuditRepository
 
-VERDICTS = ("greenlight", "conditional_greenlight", "stall", "cancel")
-
 
 def determine_verdict(
     register: RiskRegister | None,
