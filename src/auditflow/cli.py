@@ -4,15 +4,12 @@ Commands: ``init``, ``validate``, ``status``, ``gate``, ``risk``,
 ``trace``, ``report``. All take ``--repo`` (default ``.``) and most accept
 ``--format {text,machine}`` where machine output is the sorted diagnostic
 line format. Exit codes: 0 success/pass, 1 parse failure (validate), 2
-failure or error, 3 usage.
-
-``validate``, ``status``, ``gate`` and ``risk`` only read. ``trace`` writes
-``adhf.graph``; ``report`` writes ``audit_report.txt`` and, when its content
-changed, a new version of the summary artifact. Both append the artifact
-versions that ``trail.log`` has not seen yet, as do ``gate --advance``, which
-also rewrites ``state.lock``, and ``risk --ingest-tests``, which also writes
-a new register version. Artifact and state writes take the repository lock;
-the appends of unseen versions do not.
+failure or error, 3 usage. ``trace`` writes ``adhf.graph``; ``report``
+writes ``audit_report.txt`` and a changed summary artifact; ``gate --advance``
+rewrites ``state.lock``; ``risk --ingest-tests`` writes a new register
+version. All four append unseen artifact versions to ``trail.log`` without
+the repository lock, which only artifact and state writes take. Other
+commands only read.
 """
 
 from __future__ import annotations

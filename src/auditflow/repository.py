@@ -301,9 +301,7 @@ class AuditRepository:
         self.artifacts = artifacts
         self.parse_failures = parse_failures
         self._load_diagnostics = load_diagnostics
-        # repo-relative path -> sha256 of the bytes, for the manifest and every
-        # artifact file; writes keep it in step with the files they touch
-        self._file_digests = file_digests
+        self._file_digests = file_digests  # repo-relative path -> sha256 of the file's bytes
         self._validation: Optional[dict[str, list[Diagnostic]]] = None
         self._cross: Optional[list[Diagnostic]] = None
         self._checklist_reports: dict[str, ChecklistReport] = {}
@@ -423,10 +421,9 @@ class AuditRepository:
     def repo_content_hash(self) -> str:
         """Hash of manifest plus artifact files, excluding the summary report.
 
-        Built from the byte digests ``load`` took and writes kept in step, so
-        it opens no file: the manifest first, then the artifact files in path
-        order. The summary report distills the repository, so including it
-        would make report compilation self-referential and unstable.
+        Built from the digests ``load`` took and writes keep in step, so it
+        opens no file. The summary report distills the repository, so including
+        it would make report compilation self-referential and unstable.
         """
         summary_ids = {d.id for d in self.by_kind(ArtifactKind.AUDIT_SUMMARY_REPORT)}
         entries = [(MANIFEST_NAME, self._file_digests[MANIFEST_NAME])]
@@ -562,9 +559,6 @@ class AuditRepository:
     def artifact_path(self, doc: ArtifactDocument) -> Path:
         return self.path / ARTIFACT_DIR / doc.meta.stage.value / f"{doc.id}.json"
 
-    def _relative(self, path: Path) -> str:
-        return path.relative_to(self.path).as_posix()
-
     def trail_records(self) -> list[TrailRecord]:
         """Read and parse ``trail.log``; the only reader of the file."""
         trail_path = self.path / TRAIL_NAME
@@ -653,14 +647,14 @@ class AuditRepository:
             path.parent.mkdir(parents=True, exist_ok=True)
             data = serialize_artifact(doc)
             path.write_bytes(data)
-            self._file_digests[self._relative(path)] = hash_bytes(data)
+            self._file_digests[path.relative_to(self.path).as_posix()] = hash_bytes(data)
             self._append_trail(self._observation_events(doc, recorded[-1] if recorded else None))
         stale = self.artifacts.get(doc.id)
         if stale is not None and stale.meta.stage is not doc.meta.stage:
             old_path = self.artifact_path(stale)
             if old_path.exists():
                 old_path.unlink()
-                self._file_digests.pop(self._relative(old_path), None)
+                self._file_digests.pop(old_path.relative_to(self.path).as_posix(), None)
         self.artifacts[doc.id] = doc
         self._invalidate()
         return doc

@@ -190,9 +190,7 @@ class WorkflowState:
         if passed != STAGES[1 : len(passed) + 1]:
             raise AuditError("E_STATE_INVALID", "gate log must pass the gates in stage order, each once, from Mapping")
         if state.current_stage is not (passed[-1] if passed else Stage.SCOPING):
-            raise AuditError(
-                "E_STATE_INVALID", f"current stage {state.current_stage.value!r} is not the last stage whose gate passed"
-            )
+            raise AuditError("E_STATE_INVALID", f"current stage {state.current_stage.value!r} is not the last gate passed")
         return state
 
 
