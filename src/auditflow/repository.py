@@ -23,7 +23,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Iterator, Optional
 
 from . import clock
@@ -427,8 +427,8 @@ class AuditRepository:
         """
         summary_ids = {d.id for d in self.by_kind(ArtifactKind.AUDIT_SUMMARY_REPORT)}
         entries = [(MANIFEST_NAME, self._file_digests[MANIFEST_NAME])]
-        for rel in sorted(self._file_digests, key=PurePosixPath):
-            if rel != MANIFEST_NAME and PurePosixPath(rel).stem not in summary_ids:
+        for rel in sorted(self._file_digests, key=lambda rel: rel.split("/")):  # path order, part by part
+            if rel != MANIFEST_NAME and os.path.splitext(os.path.basename(rel))[0] not in summary_ids:
                 entries.append((rel, self._file_digests[rel]))
         return content_hash(entries)
 
