@@ -632,13 +632,13 @@ def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: st
     elif isinstance(node, Map):
         if not isinstance(value, dict):
             diags.append(make("E_FIELD_TYPE", f"expected an object, got {type(value).__name__}", artifact_id, path))
-            return
-        for key, item in value.items():
-            kpath = f"{path}.{key}" if path else key
-            if not isinstance(key, str) or key not in node.fields:
-                diags.append(make("E_UNKNOWN_FIELD", f"field {key!r} is not in the schema", artifact_id, kpath))
-            else:
-                _walk(item, node.fields[key], kpath, diags, artifact_id)
+        else:
+            for key, item in value.items():
+                kpath = f"{path}.{key}" if path else key
+                if isinstance(key, str) and key in node.fields:
+                    _walk(item, node.fields[key], kpath, diags, artifact_id)
+                else:
+                    diags.append(make("E_UNKNOWN_FIELD", f"field {key!r} is not in the schema", artifact_id, kpath))
     else:
         raise TypeError(f"bad schema node: {node!r}")
 
