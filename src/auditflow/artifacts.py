@@ -598,6 +598,13 @@ def principles_from(doc: ArtifactDocument) -> list[Principle]:
 _META_FIELDS = ("id", "kind", "producer", "stage", "version", "created_at", "content_hash", "status")
 
 
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: str | None) -> None:
     """Check a decoded value against its schema node in place; one diagnostic per misfit."""
     if isinstance(node, Str):
@@ -614,7 +621,7 @@ def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: st
     elif isinstance(node, Real):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             diags.append(make("E_FIELD_TYPE", f"expected a number, got {type(value).__name__}", artifact_id, path))
-        elif not math.isfinite(value):
+        elif not _finite(value):
             diags.append(make("E_FIELD_VALUE", "value must be finite", artifact_id, path))
         elif (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
             diags.append(make("E_FIELD_VALUE", f"{float(value)} outside [{node.lo}, {node.hi}]", artifact_id, path))
@@ -721,11 +728,11 @@ def _load_raw(raw_document: bytes | str) -> Any:
         text = raw_document
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the interpreter's digit limit
         pass
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError:
+    except (yaml.YAMLError, ValueError):
         return None
 
 

@@ -244,7 +244,11 @@ class Manifest:
         return frozenset(v.lower() for v in self.closed_question_verbs)
 
 
-@dataclass(frozen=True)
+# the event and status words, one string object for every record that uses one
+_TRAIL_WORDS = {word: word for word in ("created", "updated", "finalized", "draft", "final")}
+
+
+@dataclass(frozen=True, slots=True)
 class TrailRecord:
     timestamp: str
     event: str  # created | updated | finalized
@@ -265,21 +269,77 @@ class TrailRecord:
 
     @staticmethod
     def from_dict(raw: dict) -> "TrailRecord":
-        record = TrailRecord(
-            timestamp=raw["timestamp"],
-            event=raw["event"],
-            artifact_id=raw["artifact_id"],
-            version=int(raw["version"]),
-            hash=raw["hash"],
-            status=raw.get("status", "draft"),
-        )
-        # every write reads every record, so this stays a chain of type identities
-        if not (
-            type(record.timestamp) is type(record.event) is type(record.artifact_id)
-            is type(record.hash) is type(record.status) is str
-        ):
+        timestamp, event, artifact_id = raw["timestamp"], raw["event"], raw["artifact_id"]
+        version, hash_, status = int(raw["version"]), raw["hash"], raw.get("status", "draft")
+        # a snapshot's first read parses every record, so this stays a chain of type identities
+        if not (type(timestamp) is type(event) is type(artifact_id) is type(hash_) is type(status) is str):
             raise TypeError("trail record fields other than version must be strings")
-        return record
+        return TrailRecord(
+            timestamp, _TRAIL_WORDS.get(event, event), artifact_id, version, hash_, _TRAIL_WORDS.get(status, status)
+        )
+
+
+def _parse_trail(data: bytes) -> list[TrailRecord]:
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} is not UTF-8 text: {exc}")
+    records = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                records.append(TrailRecord.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:  # not JSON, or not a record
+                raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} line {number} is not a trail record: {exc!r}")
+    return records
+
+
+class _TrailIndex:
+    """The trail's account of each artifact, folded from its records in order.
+
+    ``last`` maps an artifact id to its last record. ``versions`` holds the
+    highest version and ``{version: hash}`` (None where one version was
+    recorded with two hashes) of an artifact whose records carry more than one
+    version or hash; for any other artifact both follow from its last record,
+    which keeps the index small for the many artifacts recorded once.
+    """
+
+    __slots__ = ("last", "versions")
+
+    def __init__(self) -> None:
+        self.last: dict[str, TrailRecord] = {}
+        self.versions: dict[str, tuple[int, dict[int, Optional[str]]]] = {}
+
+    def fold(self, records: list[TrailRecord]) -> None:
+        last, versions = self.last, self.versions
+        for rec in records:
+            aid = rec.artifact_id
+            prev = last.get(aid)
+            last[aid] = rec
+            if prev is None or (prev.version == rec.version and prev.hash == rec.hash):
+                continue
+            top, hashes = versions.get(aid) or (prev.version, {prev.version: prev.hash})
+            if hashes.setdefault(rec.version, rec.hash) != rec.hash:
+                hashes[rec.version] = None
+            versions[aid] = (max(top, rec.version), hashes)
+
+    def recorded(self, artifact_id: str) -> Optional[tuple[int, dict[int, Optional[str]]]]:
+        """The highest recorded version and ``{version: hash}`` of one artifact."""
+        last = self.last.get(artifact_id)
+        if last is None:
+            return None
+        return self.versions.get(artifact_id) or (last.version, {last.version: last.hash})
+
+
+def _lock_holder(lock_path: Path) -> str:
+    """Who holds the lock, from the process id ``lock`` writes into the file."""
+    try:
+        pid = lock_path.read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError):
+        return "the lock file cannot be read"
+    if not pid:
+        return "the lock file is empty"
+    return f"held by process {pid}" if pid.isdigit() else "the lock file names no process id"
 
 
 class AuditRepository:
@@ -307,6 +367,10 @@ class AuditRepository:
         self._checklist_reports: dict[str, ChecklistReport] = {}
         self._register: Optional[RiskRegister] = None
         self._trail: Optional[list[TrailRecord]] = None
+        self._trail_index: Optional[_TrailIndex] = None
+        # the bytes of trail.log the index holds, whole lines only; None when
+        # the next write must parse the whole file again
+        self._trail_seen: Optional[bytearray] = None
         self._by_kind: Optional[dict[ArtifactKind, list[ArtifactDocument]]] = None
 
     # -- loading ------------------------------------------------------------
@@ -538,7 +602,7 @@ class AuditRepository:
         try:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise AuditError("E_LOCKED", f"repository is locked ({lock_path})")
+            raise AuditError("E_LOCKED", f"repository is locked ({lock_path}); {_lock_holder(lock_path)}")
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
@@ -559,39 +623,93 @@ class AuditRepository:
     def artifact_path(self, doc: ArtifactDocument) -> Path:
         return self.path / ARTIFACT_DIR / doc.meta.stage.value / f"{doc.id}.json"
 
-    def trail_records(self) -> list[TrailRecord]:
-        """Read and parse ``trail.log``; the only reader of the file."""
+    def _read_trail(self, after: bytes | bytearray = b"") -> Optional[bytes]:
+        """The bytes of ``trail.log`` that follow ``after``, or None when the
+        file does not begin with ``after``; the whole file by default. The
+        file is compared a block at a time, so a write holds no second copy
+        of the trail."""
         trail_path = self.path / TRAIL_NAME
         if not trail_path.is_file():
-            return []
-        try:
-            lines = trail_path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} is not UTF-8 text: {exc}")
-        records = []
-        for number, line in enumerate(lines, 1):
-            if line.strip():
-                try:
-                    records.append(TrailRecord.from_dict(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:  # not JSON, or not a record
-                    raise AuditError("E_TRAIL_INVALID", f"{TRAIL_NAME} line {number} is not a trail record: {exc!r}")
+            return None if after else b""
+        with trail_path.open("rb") as fh:
+            block = memoryview(bytearray(min(len(after), 1 << 16)))
+            done = 0
+            while done < len(after):
+                n = fh.readinto(block[: len(after) - done])
+                if not n or not after.startswith(block[:n], done):
+                    return None
+                done += n
+            return fh.read()
+
+    def trail_records(self) -> list[TrailRecord]:
+        """Read and parse the whole of ``trail.log`` and rebuild the snapshot's
+        per-artifact index from it.
+
+        A snapshot's first read of the file comes through here, and so does a
+        write that finds the file no longer begins with the bytes the index
+        holds; other writes parse only the lines after those (``_recorded``).
+        """
+        data = self._read_trail()
+        self._trail_index = self._trail_seen = None
+        records = _parse_trail(data)
+        self._trail_index = _TrailIndex()
+        self._trail_index.fold(records)
+        if not data or data.endswith(b"\n"):  # a torn last line is parsed again next time
+            self._trail_seen = bytearray(data)
         return records
 
     def trail(self) -> list[TrailRecord]:
-        """The recorded trail, read once per snapshot and kept in step with
-        the snapshot's own appends. Callers must not modify the list."""
+        """The recorded trail in file order, read once per snapshot and kept
+        in step with the snapshot's appends and with the records its writes
+        find appended by others. Callers must not modify the list.
+
+        A snapshot that holds the list lets go of the bytes behind it, so the
+        reading commands hold no second copy of the file; a write after this
+        parses the whole file once more."""
         if self._trail is None:
             self._trail = self.trail_records()
+            self._trail_seen = None
         return self._trail
+
+    def _recorded(self) -> _TrailIndex:
+        """The per-artifact index, brought up to the current bytes of ``trail.log``.
+
+        When the file still begins with the bytes the index holds and ends in
+        a whole line, only the lines after those bytes are parsed. Otherwise
+        (a first read, or a file truncated, rewritten, torn or holding a bad
+        new line) the whole file is parsed again by ``trail_records``.
+        """
+        seen = self._trail_seen
+        if seen is not None:
+            tail = self._read_trail(seen)
+            if tail is not None and tail[-1:] in (b"", b"\n"):
+                try:
+                    new = _parse_trail(tail)
+                except AuditError:
+                    pass  # the full parse below names the line
+                else:
+                    self._trail_index.fold(new)
+                    seen += tail
+                    if self._trail is not None:
+                        self._trail.extend(new)
+                    return self._trail_index
+        records = self.trail_records()
+        if self._trail is not None:
+            self._trail = records
+        return self._trail_index
 
     def _append_trail(self, records: list[TrailRecord]) -> None:
         if not records:
             return
-        with (self.path / TRAIL_NAME).open("a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        data = "".join(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records).encode("utf-8")
+        with (self.path / TRAIL_NAME).open("ab") as fh:
+            fh.write(data)
         if self._trail is not None:
             self._trail.extend(records)
+        if self._trail_index is not None:
+            self._trail_index.fold(records)
+        if self._trail_seen is not None:
+            self._trail_seen += data
 
     def _observation_events(self, doc: ArtifactDocument, last: Optional[TrailRecord]) -> list[TrailRecord]:
         """Events that record ``doc`` given the artifact's last trail record."""
@@ -616,7 +734,9 @@ class AuditRepository:
 
     def sync_trail(self) -> list[TrailRecord]:
         """Record unseen artifact versions. Call under the writer lock path."""
-        last = {rec.artifact_id: rec for rec in self.trail()}
+        if self._trail_index is None:
+            self.trail()
+        last = self._trail_index.last
         new: list[TrailRecord] = []
         for doc in sorted(self.artifacts.values(), key=lambda d: d.id):
             new.extend(self._observation_events(doc, last.get(doc.id)))
@@ -631,24 +751,25 @@ class AuditRepository:
         """
         doc = rehash(doc)
         with self.lock():
-            recorded = [r for r in self.trail_records() if r.artifact_id == doc.id]
-            for rec in recorded:
-                if rec.version == doc.meta.version and rec.hash != doc.meta.content_hash:
+            index = self._recorded()
+            recorded = index.recorded(doc.id)
+            if recorded is not None:
+                top, hashes = recorded
+                if hashes.get(doc.meta.version, doc.meta.content_hash) != doc.meta.content_hash:
                     raise AuditError(
                         "E_VERSION_REUSED",
                         f"{doc.id} v{doc.meta.version} already recorded with different content",
                     )
-            if recorded and doc.meta.version < max(r.version for r in recorded):
-                raise AuditError(
-                    "E_VERSION_REUSED",
-                    f"{doc.id} v{doc.meta.version} is older than the recorded v{max(r.version for r in recorded)}",
-                )
+                if doc.meta.version < top:
+                    raise AuditError(
+                        "E_VERSION_REUSED", f"{doc.id} v{doc.meta.version} is older than the recorded v{top}"
+                    )
             path = self.artifact_path(doc)
             path.parent.mkdir(parents=True, exist_ok=True)
             data = serialize_artifact(doc)
             path.write_bytes(data)
             self._file_digests[path.relative_to(self.path).as_posix()] = hash_bytes(data)
-            self._append_trail(self._observation_events(doc, recorded[-1] if recorded else None))
+            self._append_trail(self._observation_events(doc, index.last.get(doc.id)))
         stale = self.artifacts.get(doc.id)
         if stale is not None and stale.meta.stage is not doc.meta.stage:
             old_path = self.artifact_path(stale)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from auditflow import clock
+from auditflow.artifacts import ArtifactKind, make_artifact, serialize_artifact
 from auditflow.cli import main
 from auditflow.fixtures import (
     smile_init,
@@ -95,6 +96,27 @@ def test_validate_corruption_sweep_exits_one(smile_copy, capsys):
         assert code == 1, victim
         victim.write_bytes(backup)
 
+
+
+@pytest.mark.parametrize(
+    "value, version, expected",
+    [
+        (10**400, "1", "ERROR E_FIELD_VALUE card body.performance_by_group[0].value value must be finite"),
+        (0.5, "9" * 5000, "ERROR E_PARSE - - document is not a structured object"),
+    ],
+    ids=["real-past-the-float-range", "version-past-the-int-digit-limit"],
+)
+def test_validate_maps_an_oversized_integer_to_a_diagnostic(tmp_path, capsys, value, version, expected):
+    repo = tmp_path / "audit"
+    run(capsys, "--repo", str(repo), "init")
+    body = {"intended_use": "triage", "performance_by_group": [{"group": "all", "metric_name": "auc", "value": value}]}
+    text = serialize_artifact(make_artifact(ArtifactKind.MODEL_CARD, "card", body)).decode()
+    assert text.count('"version": 1\n') == 1
+    card = repo / "artifacts" / "artifact_collection" / "card.json"
+    card.write_text(text.replace('"version": 1\n', f'"version": {version}\n'))
+    code, out, _ = run(capsys, "--repo", str(repo), "--format", "machine", "validate")
+    assert code == 1
+    assert expected in out.splitlines()
 
 def _manifest_with(**fields):
     def corrupt(repo):

@@ -4,7 +4,8 @@ Modules talk to each other through public names only and import each other
 at module level, the per-requirement gate diagnostics come from one
 evaluator, so ``gate``, ``status`` and the report's readiness lines cannot
 drift apart, the diagnostic code registry matches the codes the source
-uses, and ``AuditRepository.load`` is the one reader of the artifact tree.
+uses, ``AuditRepository.load`` is the one reader of the artifact tree, and
+``AuditRepository.write_artifact`` leaves the whole-trail parse to the index.
 """
 
 from __future__ import annotations
@@ -94,5 +95,17 @@ def test_only_load_walks_the_artifact_tree():
         for path in sorted(PACKAGE.glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if "rglob(" in line and not (path.name == "repository.py" and load.lineno <= number <= load.end_lineno)
+    ]
+    assert found == []
+
+
+def test_write_artifact_does_not_parse_the_whole_trail_itself():
+    tree = ast.parse((PACKAGE / "repository.py").read_text(encoding="utf-8"))
+    repo_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AuditRepository")
+    write = next(n for n in repo_class.body if isinstance(n, ast.FunctionDef) and n.name == "write_artifact")
+    found = [
+        f"repository.py:{node.lineno}"
+        for node in ast.walk(write)
+        if isinstance(node, ast.Attribute) and node.attr == "trail_records"
     ]
     assert found == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -85,12 +86,26 @@ def test_version_reuse_under_a_held_lock_is_refused_by_the_lock_and_changes_noth
     with pytest.raises(AuditError) as exc:
         repo.write_artifact(_study("study", finding="different content"))
     assert exc.value.code == "E_LOCKED"
+    assert "4242" in exc.value.message
     assert (artifact.read_bytes(), (path / TRAIL_NAME).read_bytes()) == files
     (path / LOCK_NAME).unlink()
     with pytest.raises(AuditError) as exc:
         repo.write_artifact(_study("study", finding="different content"))
     assert exc.value.code == "E_VERSION_REUSED"
     assert not (path / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize(
+    "content, says", [(b"", "lock file is empty"), (b"\xff", "lock file cannot be read"), (b"me", "names no process id")]
+)
+def test_a_lock_without_a_readable_holder_says_so_and_stays(tmp_path, content, says):
+    repo = init_repository(tmp_path / "audit", now=T0)
+    (repo.path / LOCK_NAME).write_bytes(content)
+    with pytest.raises(AuditError) as exc:
+        repo.write_artifact(_study("study"))
+    assert exc.value.code == "E_LOCKED"
+    assert says in exc.value.message
+    assert (repo.path / LOCK_NAME).read_bytes() == content
 
 
 # -- one trail read per command ----------------------------------------------------
@@ -241,3 +256,157 @@ def test_workflow_config_is_resolved_once_per_manifest(smile_repo):
     config = smile_repo.workflow_config()
     assert config is smile_repo.workflow_config() is smile_repo.manifest.workflow
     assert config.profile == smile_repo.manifest.profile
+
+
+# -- writes parse only the trail lines they have not seen ---------------------------
+
+def _outcome(repo, doc):
+    """What a write does: ``"ok"``, or the code and message it was refused with."""
+    try:
+        repo.write_artifact(doc)
+    except AuditError as exc:
+        return exc.code, exc.message
+    return "ok"
+
+
+def _twin(path, tmp_path):
+    """A copy of the repository as it is on disk now."""
+    twin = tmp_path / "twin"
+    shutil.rmtree(twin, ignore_errors=True)
+    return shutil.copytree(path, twin)
+
+
+def test_thirty_writes_through_one_snapshot_parse_the_whole_trail_once(tmp_path, trail_reads):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    trail_reads.clear()
+    repo = AuditRepository.load(path)
+    for version in range(1, 31):
+        repo.write_artifact(_study("study", version=version, finding=str(version)))
+    assert len(trail_reads) == 1
+    assert repo.trail() == AuditRepository.load(path).trail_records()
+
+
+def test_a_write_sees_what_another_snapshot_appended(tmp_path, trail_reads):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    first, second = AuditRepository.load(path), AuditRepository.load(path)
+    first.write_artifact(_study("study"))
+    second.write_artifact(_study("study", version=2, finding="theirs"))
+    second.write_artifact(_study("other"))
+    trail = (path / TRAIL_NAME).read_bytes()
+    trail_reads.clear()
+    assert _outcome(first, _study("study", version=2, finding="mine")) == (
+        "E_VERSION_REUSED", "study v2 already recorded with different content"
+    )
+    assert _outcome(first, _study("other", version=1, finding="mine")) == (
+        "E_VERSION_REUSED", "other v1 already recorded with different content"
+    )
+    assert (path / TRAIL_NAME).read_bytes() == trail
+    assert _outcome(first, _study("study", version=3, finding="mine")) == "ok"
+    assert _outcome(first, _study("study", version=4, finding="mine")) == "ok"
+    assert trail_reads == []  # the other snapshot's lines were parsed on their own
+    assert [rec.version for rec in first.trail_records() if rec.artifact_id == "study"] == [1, 2, 3, 4]
+
+
+def _drop_last_line(data):
+    return data[: data.rstrip(b"\n").rfind(b"\n") + 1]
+
+
+def _last_with_another_hash(data):
+    record = json.loads(data.splitlines()[-1])
+    record["hash"] = "0" * 64
+    return json.dumps(record, sort_keys=True).encode() + b"\n"
+
+
+TRAIL_REWRITES = {
+    "truncated": _drop_last_line,
+    "empty": lambda data: b"",
+    "hash-rewritten": lambda data: _drop_last_line(data) + _last_with_another_hash(data),
+    "version-recorded-twice": lambda data: data + _last_with_another_hash(data),
+    "torn-record": lambda data: data + b'{"artifact_id": "study", "event": "upd',
+    "record-without-newline": lambda data: data + _last_with_another_hash(data).rstrip(b"\n"),
+    "no-final-newline": lambda data: data[:-1],
+}
+
+
+@pytest.mark.parametrize("rewrite", TRAIL_REWRITES.values(), ids=TRAIL_REWRITES)
+@pytest.mark.parametrize(
+    "doc",
+    [_study("study", version=2, finding="x"), _study("study", version=2, finding="y"), _study("study", version=3)],
+    ids=["v2-as-recorded", "v2-other-content", "v3"],
+)
+def test_a_write_after_the_trail_was_rewritten_acts_as_a_fresh_load(tmp_path, rewrite, doc):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    repo = AuditRepository.load(path)
+    repo.write_artifact(_study("study"))
+    repo.write_artifact(_study("study", version=2, finding="x"))
+    trail = path / TRAIL_NAME
+    trail.write_bytes(rewrite(trail.read_bytes()))
+    twin = _twin(path, tmp_path)
+    for write in (doc, _study("study", version=4)):  # the second write reads what the first appended
+        assert _outcome(repo, write) == _outcome(AuditRepository.load(twin), write)
+        assert trail.read_bytes() == (twin / TRAIL_NAME).read_bytes()
+
+
+def test_a_rewrite_past_the_first_block_of_a_long_trail_is_seen(tmp_path):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    repo = AuditRepository.load(path)
+    for version in range(1, 401):
+        repo.write_artifact(_study("study", version=version, finding=str(version)))
+    trail = path / TRAIL_NAME
+    data = trail.read_bytes()
+    assert len(data) > 65536  # past the first block of the compare
+    trail.write_bytes(TRAIL_REWRITES["hash-rewritten"](data))
+    assert _outcome(repo, _study("study", version=400, finding="400")) == (
+        "E_VERSION_REUSED", "study v400 already recorded with different content"
+    )
+
+
+def test_a_version_recorded_with_two_hashes_refuses_every_content(tmp_path):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    repo = AuditRepository.load(path)
+    repo.write_artifact(_study("study"))
+    trail = path / TRAIL_NAME
+    trail.write_bytes(trail.read_bytes() + _last_with_another_hash(trail.read_bytes()))
+    for doc in (_study("study"), _study("study", finding="x")):
+        assert _outcome(repo, doc) == ("E_VERSION_REUSED", "study v1 already recorded with different content")
+
+
+def test_a_lower_version_appended_by_hand_leaves_the_highest_version_recorded(tmp_path):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    repo = AuditRepository.load(path)
+    repo.write_artifact(_study("study"))
+    repo.write_artifact(_study("study", version=2, finding="x"))
+    trail = path / TRAIL_NAME
+    first = trail.read_bytes().splitlines(keepends=True)[-2]
+    assert json.loads(first)["version"] == 1
+    trail.write_bytes(trail.read_bytes() + first)
+    assert _outcome(repo, _study("study")) == ("E_VERSION_REUSED", "study v1 is older than the recorded v2")
+
+
+@pytest.mark.parametrize(
+    "line", [b'{"not": "a record"}\n', b"{ not json\n", b"\xff\xfe\n", b"[1]\n"], ids=["no-fields", "not-json", "not-utf8", "list"]
+)
+def test_a_bad_line_appended_by_another_writer_is_named_as_a_fresh_load_names_it(tmp_path, line):
+    path = tmp_path / "audit"
+    init_repository(path, now=T0)
+    repo = AuditRepository.load(path)
+    repo.write_artifact(_study("study"))
+    with (path / TRAIL_NAME).open("ab") as fh:
+        fh.write(line)
+    fresh = _outcome(AuditRepository.load(path), _study("study", version=2))
+    assert fresh[0] == "E_TRAIL_INVALID"
+    assert _outcome(repo, _study("study", version=2)) == fresh
+    number = len((path / TRAIL_NAME).read_bytes().splitlines())
+    assert "not UTF-8" in fresh[1] or f"line {number} " in fresh[1]
+
+
+def test_ingest_parses_the_trail_once(smile_copy, trail_reads, capsys):
+    assert main(["--repo", str(smile_copy), "risk", "--ingest-tests", "adversarial-tests"]) == 0
+    assert len(trail_reads) == 1
+    assert AuditRepository.load(smile_copy).sync_trail() == []
