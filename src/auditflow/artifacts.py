@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
@@ -169,9 +170,16 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 # ---------------------------------------------------------------------------
 # schema mini-language
 #
-# A schema is a tree of nodes. Parsing (``_walk``) checks types, domains and
-# unknown fields against it. Three annotations carry the generic validation
-# rules, which ``_check`` applies to a parsed body:
+# A schema is a tree of nodes. Parsing checks types, domains and unknown
+# fields against it: each node builds its ``check`` once, and ``check(value,
+# parent, key, misfits)`` tests one decoded value in place, calling the
+# checks of its children. It appends each misfit as (code, message, parent,
+# key) and builds no diagnostic. ``parent`` and ``key`` place the value
+# without rendering its path: ``key`` is "body" at the root, ".name" for a
+# field and an int for a list position, and ``parent`` is the (parent, key)
+# pair of the value holding it (None at the root). ``_render_path`` gives the
+# path text, so only a misfit renders one. Three annotations carry the
+# generic validation rules, which ``_check`` applies to a parsed body:
 #   need=(code, message)  on Str, Count, Choice and Seq: the field must be
 #                         present and not None, [] or blank after strip();
 #   unique=(code, label)  on a Seq of Maps: no two items share a non-blank
@@ -180,6 +188,33 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 # Rules that relate several fields live in ``_CROSS_FIELD_RULES``.
 
 Rule = Optional[tuple[str, str]]  # (diagnostic code, message or label)
+Where = Optional[tuple]  # (parent, key) of a value holding another, None above the root
+Misfit = tuple[str, str, Where, "str | int"]  # (code, message, parent, key)
+
+
+def _render_path(parent: Where, key: str | int) -> str:
+    """The path text of the value at ``key`` under ``parent``, e.g. ``body.items[0].id``.
+
+    A field's key is already ".name", an integer YAML key's too (".1"), so an
+    int key is always a list position and renders as "[i]".
+    """
+    parts = []
+    while parent is not None:
+        parts.append(key if isinstance(key, str) else f"[{key}]")
+        parent, key = parent
+    parts.append(key)
+    return "".join(reversed(parts))
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _mistyped(expected: str, value, parent: Where, key: str | int, misfits: list[Misfit]) -> None:
+    misfits.append(("E_FIELD_TYPE", f"expected {expected}, got {type(value).__name__}", parent, key))
 
 
 @dataclass(frozen=True)
@@ -187,10 +222,24 @@ class Str:
     need: Rule = None
     ref: bool = False
 
+    @cached_property
+    def check(self):
+        def check(value, parent, key, misfits):
+            if not isinstance(value, str):
+                _mistyped("a string", value, parent, key, misfits)
+
+        return check
+
 
 @dataclass(frozen=True)
 class Flag:
-    pass
+    @cached_property
+    def check(self):
+        def check(value, parent, key, misfits):
+            if not isinstance(value, bool):
+                _mistyped("a boolean", value, parent, key, misfits)
+
+        return check
 
 
 @dataclass(frozen=True)
@@ -199,17 +248,55 @@ class Count:
     hi: Optional[int] = None
     need: Rule = None
 
+    @cached_property
+    def check(self):
+        lo, hi = self.lo, self.hi
+
+        def check(value, parent, key, misfits):
+            if isinstance(value, bool) or not isinstance(value, int):
+                _mistyped("an integer", value, parent, key, misfits)
+            elif (lo is not None and value < lo) or (hi is not None and value > hi):
+                misfits.append(("E_FIELD_VALUE", f"{value} outside [{lo}, {hi}]", parent, key))
+
+        return check
+
 
 @dataclass(frozen=True)
 class Real:
     lo: Optional[float] = None
     hi: Optional[float] = None
 
+    @cached_property
+    def check(self):
+        lo, hi = self.lo, self.hi
+
+        def check(value, parent, key, misfits):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                _mistyped("a number", value, parent, key, misfits)
+            elif not _finite(value):
+                misfits.append(("E_FIELD_VALUE", "value must be finite", parent, key))
+            elif (lo is not None and value < lo) or (hi is not None and value > hi):
+                misfits.append(("E_FIELD_VALUE", f"{float(value)} outside [{lo}, {hi}]", parent, key))
+
+        return check
+
 
 @dataclass(frozen=True)
 class Choice:
     values: tuple[str, ...]
     need: Rule = None
+
+    @cached_property
+    def check(self):
+        values, allowed = frozenset(self.values), sorted(self.values)
+
+        def check(value, parent, key, misfits):
+            if not isinstance(value, str):
+                _mistyped("a string", value, parent, key, misfits)
+            elif value not in values:
+                misfits.append(("E_FIELD_VALUE", f"{value!r} not one of {allowed}", parent, key))
+
+        return check
 
 
 @dataclass(frozen=True)
@@ -218,10 +305,42 @@ class Seq:
     need: Rule = None
     unique: Rule = None
 
+    @cached_property
+    def check(self):
+        check_item = self.item.check
+
+        def check(value, parent, key, misfits):
+            if not isinstance(value, list):
+                _mistyped("a list", value, parent, key, misfits)
+                return
+            here = (parent, key)
+            for i, item in enumerate(value):
+                check_item(item, here, i, misfits)
+
+        return check
+
 
 @dataclass(frozen=True)
 class Map:
     fields: dict[str, "Node"]
+
+    @cached_property
+    def check(self):
+        fields = {name: (node.check, "." + name) for name, node in self.fields.items()}
+
+        def check(value, parent, key, misfits):
+            if not isinstance(value, dict):
+                _mistyped("an object", value, parent, key, misfits)
+                return
+            here = (parent, key)
+            for name, item in value.items():
+                child = fields.get(name)
+                if child is None:  # an integer YAML key too renders as ".1"
+                    misfits.append(("E_UNKNOWN_FIELD", f"field {name!r} is not in the schema", here, f".{name}"))
+                else:
+                    child[0](item, here, child[1], misfits)
+
+        return check
 
     @cached_property
     def ruled(self) -> tuple[tuple[str, "Node", Rule, bool], ...]:
@@ -598,56 +717,17 @@ def principles_from(doc: ArtifactDocument) -> list[Principle]:
 _META_FIELDS = ("id", "kind", "producer", "stage", "version", "created_at", "content_hash", "status")
 
 
-def _finite(value: int | float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the float range
-        return False
+# The members of each meta enum by value: ``Enum(value)`` finds a member only
+# for a string equal to its value, and a lookup here costs less.
+_KINDS = {k.value: k for k in ArtifactKind}
+_PRODUCERS = {r.value: r for r in ProducerRole}
+_STAGES = {s.value: s for s in Stage}
+_STATUSES = {s.value: s for s in ArtifactStatus}
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
-def _walk(value, node: Node, path: str, diags: list[Diagnostic], artifact_id: str | None) -> None:
-    """Check a decoded value against its schema node in place; one diagnostic per misfit."""
-    if isinstance(node, Str):
-        if not isinstance(value, str):
-            diags.append(make("E_FIELD_TYPE", f"expected a string, got {type(value).__name__}", artifact_id, path))
-    elif isinstance(node, Flag):
-        if not isinstance(value, bool):
-            diags.append(make("E_FIELD_TYPE", f"expected a boolean, got {type(value).__name__}", artifact_id, path))
-    elif isinstance(node, Count):
-        if isinstance(value, bool) or not isinstance(value, int):
-            diags.append(make("E_FIELD_TYPE", f"expected an integer, got {type(value).__name__}", artifact_id, path))
-        elif (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
-            diags.append(make("E_FIELD_VALUE", f"{value} outside [{node.lo}, {node.hi}]", artifact_id, path))
-    elif isinstance(node, Real):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            diags.append(make("E_FIELD_TYPE", f"expected a number, got {type(value).__name__}", artifact_id, path))
-        elif not _finite(value):
-            diags.append(make("E_FIELD_VALUE", "value must be finite", artifact_id, path))
-        elif (node.lo is not None and value < node.lo) or (node.hi is not None and value > node.hi):
-            diags.append(make("E_FIELD_VALUE", f"{float(value)} outside [{node.lo}, {node.hi}]", artifact_id, path))
-    elif isinstance(node, Choice):
-        if not isinstance(value, str):
-            diags.append(make("E_FIELD_TYPE", f"expected a string, got {type(value).__name__}", artifact_id, path))
-        elif value not in node.values:
-            diags.append(make("E_FIELD_VALUE", f"{value!r} not one of {sorted(node.values)}", artifact_id, path))
-    elif isinstance(node, Seq):
-        if not isinstance(value, list):
-            diags.append(make("E_FIELD_TYPE", f"expected a list, got {type(value).__name__}", artifact_id, path))
-        else:
-            for i, item in enumerate(value):
-                _walk(item, node.item, f"{path}[{i}]", diags, artifact_id)
-    elif isinstance(node, Map):
-        if not isinstance(value, dict):
-            diags.append(make("E_FIELD_TYPE", f"expected an object, got {type(value).__name__}", artifact_id, path))
-        else:
-            for key, item in value.items():
-                kpath = f"{path}.{key}" if path else key
-                if isinstance(key, str) and key in node.fields:
-                    _walk(item, node.fields[key], kpath, diags, artifact_id)
-                else:
-                    diags.append(make("E_UNKNOWN_FIELD", f"field {key!r} is not in the schema", artifact_id, kpath))
-    else:
-        raise TypeError(f"bad schema node: {node!r}")
+def _member(members: dict, value):
+    return members.get(value) if isinstance(value, str) else None
 
 
 def _parse_meta(raw: dict, diags: list[Diagnostic]) -> Optional[ArtifactMeta]:
@@ -661,64 +741,53 @@ def _parse_meta(raw: dict, diags: list[Diagnostic]) -> Optional[ArtifactMeta]:
     if missing:
         return None
 
-    ok = True
+    found = len(diags)
 
     def _bad(code: str, msg: str, key: str) -> None:
-        nonlocal ok
-        ok = False
         diags.append(make(code, msg, artifact_id, f"meta.{key}"))
 
     if not isinstance(raw["id"], str):
         _bad("E_FIELD_TYPE", "id must be a string", "id")
     elif not _ID_RE.match(raw["id"]):
         _bad("E_FIELD_VALUE", f"id {raw['id']!r} is not a safe identifier", "id")
-    try:
-        kind = ArtifactKind(raw["kind"])
-    except ValueError:
-        _bad("E_FIELD_VALUE", f"unknown artifact kind {raw.get('kind')!r}", "kind")
-    try:
-        producer = ProducerRole(raw["producer"])
-    except ValueError:
-        _bad("E_FIELD_VALUE", f"unknown producer role {raw.get('producer')!r}", "producer")
-    try:
-        stage = Stage(raw["stage"])
-    except ValueError:
-        _bad("E_FIELD_VALUE", f"unknown stage {raw.get('stage')!r}", "stage")
-    if isinstance(raw["version"], bool) or not isinstance(raw["version"], int):
+    kind = _member(_KINDS, raw["kind"])
+    if kind is None:
+        _bad("E_FIELD_VALUE", f"unknown artifact kind {raw['kind']!r}", "kind")
+    producer = _member(_PRODUCERS, raw["producer"])
+    if producer is None:
+        _bad("E_FIELD_VALUE", f"unknown producer role {raw['producer']!r}", "producer")
+    stage = _member(_STAGES, raw["stage"])
+    if stage is None:
+        _bad("E_FIELD_VALUE", f"unknown stage {raw['stage']!r}", "stage")
+    version = raw["version"]
+    if isinstance(version, bool) or not isinstance(version, int):
         _bad("E_FIELD_TYPE", "version must be an integer", "version")
-    elif raw["version"] < 1:
+    elif version < 1:
         _bad("E_FIELD_VALUE", "version must be >= 1", "version")
-    if not isinstance(raw["created_at"], str):
+    created_at = raw["created_at"]
+    if not isinstance(created_at, str):
         _bad("E_FIELD_TYPE", "created_at must be a string", "created_at")
     else:
         try:
-            datetime.fromisoformat(raw["created_at"])
+            datetime.fromisoformat(created_at)
         except ValueError:
-            _bad("E_FIELD_VALUE", f"created_at is not ISO-8601: {raw['created_at']!r}", "created_at")
-    if not isinstance(raw["content_hash"], str):
+            _bad("E_FIELD_VALUE", f"created_at is not ISO-8601: {created_at!r}", "created_at")
+    digest = raw["content_hash"]
+    if not isinstance(digest, str):
         _bad("E_FIELD_TYPE", "content_hash must be a string", "content_hash")
-    elif not re.fullmatch(r"[0-9a-f]{64}", raw["content_hash"]):
+    elif not _DIGEST_RE.fullmatch(digest):
         _bad("E_FIELD_VALUE", "content_hash must be a 64-char lowercase hex digest", "content_hash")
-    try:
-        status = ArtifactStatus(raw["status"])
-    except ValueError:
-        _bad("E_FIELD_VALUE", f"unknown status {raw.get('status')!r}", "status")
+    status = _member(_STATUSES, raw["status"])
+    if status is None:
+        _bad("E_FIELD_VALUE", f"unknown status {raw['status']!r}", "status")
 
-    if not ok:
+    if len(diags) > found:
         return None
-    return ArtifactMeta(
-        id=raw["id"],
-        kind=kind,
-        producer=producer,
-        stage=stage,
-        version=raw["version"],
-        created_at=raw["created_at"],
-        content_hash=raw["content_hash"],
-        status=status,
-    )
+    return ArtifactMeta(raw["id"], kind, producer, stage, version, created_at, digest, status)
 
 
 def _load_raw(raw_document: bytes | str) -> Any:
+    """The decoded document; None when it is neither UTF-8 JSON nor YAML."""
     if isinstance(raw_document, bytes):
         try:
             text = raw_document.decode("utf-8")
@@ -728,8 +797,11 @@ def _load_raw(raw_document: bytes | str) -> Any:
         text = raw_document
     try:
         return json.loads(text)
-    except ValueError:  # not JSON, or an integer past the interpreter's digit limit
+    except json.JSONDecodeError:  # not JSON
         pass
+    except ValueError:  # well-formed JSON with an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ArtifactParseError([make("E_PARSE", f"an integer has more than {limit} digits")]) from None
     try:
         return yaml.safe_load(text)
     except (yaml.YAMLError, ValueError):
@@ -774,9 +846,11 @@ def parse_artifact(raw_document: bytes | str, expected_kind: ArtifactKind | None
         )
 
     body = data.get("body", {})
-    found = len(diags)
-    _walk(body, SCHEMAS[meta.kind], "body", diags, meta.id)
-    if len(diags) == found:  # hash only a body that fits the schema
+    misfits: list[Misfit] = []
+    SCHEMAS[meta.kind].check(body, None, "body", misfits)
+    for code, message, parent, key in misfits:
+        diags.append(make(code, message, meta.id, _render_path(parent, key)))
+    if not misfits:  # hash only a body that fits the schema
         actual = content_hash(body)
         if actual != meta.content_hash:
             diags.append(

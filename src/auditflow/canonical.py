@@ -12,15 +12,14 @@ import hashlib
 import json
 
 
+# One encoder for every call: ``json.dumps`` with these arguments builds a new
+# one each time, and gives the same text.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def canonical_bytes(value) -> bytes:
     """Serialize a JSON-compatible value to its canonical byte form."""
-    return json.dumps(
-        value,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def hash_bytes(data: bytes) -> str:

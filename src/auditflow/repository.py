@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional
@@ -401,34 +401,41 @@ class AuditRepository:
         parse_failures: list[tuple[str, list[Diagnostic]]] = []
         load_diags: list[Diagnostic] = []
         art_root = root / ARTIFACT_DIR
-        if art_root.is_dir():
-            for file in sorted(art_root.rglob("*")):
-                if not file.is_file() or file.suffix not in ARTIFACT_SUFFIXES:
-                    continue
-                rel = file.relative_to(root).as_posix()
-                data = file.read_bytes()
-                file_digests[rel] = hash_bytes(data)
-                try:
-                    doc = parse_artifact(data)
-                except ArtifactParseError as exc:
-                    parse_failures.append((rel, list(exc.diagnostics)))
-                    continue
-                if doc.id in artifacts:
-                    load_diags.append(
-                        make("E_DUP_ID", f"artifact id also used by another document ({rel})", doc.id, "meta.id")
+        # each artifact file with its path parts below the repository: they
+        # sort as sorted(Path) would and join to the repo-relative path
+        skip = len(root.parts)
+        files = sorted(
+            (file.parts[skip:], file)
+            for file in (art_root.rglob("*") if art_root.is_dir() else ())
+            if file.suffix in ARTIFACT_SUFFIXES and file.is_file()
+        )
+        for parts, file in files:
+            rel = "/".join(parts)
+            data = file.read_bytes()
+            file_digests[rel] = hash_bytes(data)
+            try:
+                doc = parse_artifact(data)
+            except ArtifactParseError as exc:
+                # a failure of the whole document names no artifact, so it names the file
+                diags = [d if d.artifact_id or d.path else replace(d, path=rel) for d in exc.diagnostics]
+                parse_failures.append((rel, diags))
+                continue
+            if doc.id in artifacts:
+                load_diags.append(
+                    make("E_DUP_ID", f"artifact id also used by another document ({rel})", doc.id, "meta.id")
+                )
+                continue
+            dir_stage = parts[-2]
+            if dir_stage != doc.meta.stage.value:
+                load_diags.append(
+                    make(
+                        "E_PATH_MISMATCH",
+                        f"stored under {dir_stage!r} but meta.stage is {doc.meta.stage.value!r}",
+                        doc.id,
+                        "meta.stage",
                     )
-                    continue
-                dir_stage = file.parent.name
-                if dir_stage != doc.meta.stage.value:
-                    load_diags.append(
-                        make(
-                            "E_PATH_MISMATCH",
-                            f"stored under {dir_stage!r} but meta.stage is {doc.meta.stage.value!r}",
-                            doc.id,
-                            "meta.stage",
-                        )
-                    )
-                artifacts[doc.id] = doc
+                )
+            artifacts[doc.id] = doc
         return cls(root, manifest, state, artifacts, parse_failures, load_diags, file_digests)
 
     # -- simple accessors ----------------------------------------------------

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from auditflow import artifacts
 from auditflow.artifacts import (
     ArtifactKind,
     DEFAULT_PRODUCERS,
@@ -391,3 +392,74 @@ def test_diagnostics_sorted_by_artifact_path_code():
     )
     diags = validate_artifact(doc, [])
     assert [d.sort_key() for d in diags] == sorted(d.sort_key() for d in diags)
+
+
+# -- the schema check's paths ----------------------------------------------------
+
+def _parse_lines(raw: bytes) -> list[str]:
+    with pytest.raises(ArtifactParseError) as exc:
+        parse_artifact(raw)
+    return [d.line() for d in exc.value.diagnostics]
+
+
+def test_an_integer_yaml_key_under_a_list_item_renders_as_a_field():
+    doc = make_artifact(ArtifactKind.MODEL_CARD, "mc", {"intended_use": "x"}, created_at="2026-01-05T00:00:00+00:00")
+    as_yaml = (
+        "meta:\n"
+        + "".join(f"  {k}: {json.dumps(v)}\n" for k, v in doc.meta.to_dict().items())
+        + "body:\n  intended_use: x\n  performance_by_group:\n    - group: all\n      1: one\n"
+    )
+    assert _parse_lines(as_yaml.encode()) == [
+        "ERROR E_UNKNOWN_FIELD mc body.performance_by_group[0].1 field 1 is not in the schema"
+    ]
+
+
+def test_a_misfit_three_levels_down_renders_its_whole_path():
+    body = {
+        "collection_process": "x",
+        "demographic_breakdown": [
+            {"axis": "age", "groups": [{"label": "all", "fraction": 1.0}]},
+            {"axis": "sex", "groups": [{"label": "f", "fraction": "half"}, {"label": "m", "fraction": 1.5}]},
+        ],
+    }
+    doc = make_artifact(ArtifactKind.DATASHEET, "ds", body)
+    assert _parse_lines(serialize_artifact(doc)) == [
+        "ERROR E_FIELD_TYPE ds body.demographic_breakdown[1].groups[0].fraction expected a number, got str",
+        "ERROR E_FIELD_VALUE ds body.demographic_breakdown[1].groups[1].fraction 1.5 outside [0.0, 1.0]",
+    ]
+
+
+def _register(entries: int):
+    body = {
+        "entries": [
+            {
+                "id": f"risk-{i}",
+                "failure_mode": "mode",
+                "effect": "effect",
+                "cause": "cause",
+                "severity": 1 + i % 5,
+                "likelihood": 1 + i % 3,
+                "detection": 2,
+                "threatened_principles": ["privacy", "fairness"],
+                "status": ("open", "mitigated", "accepted")[i % 3],
+                "evidence_refs": [f"test-{i}"],
+                "rationale": "why",
+            }
+            for i in range(entries)
+        ]
+    }
+    return make_artifact(ArtifactKind.FMEA_REGISTER, "fmea", body)
+
+
+def test_a_body_that_fits_renders_no_path(smile_repo_dir, screening_repo_dir, monkeypatch):
+    def no_render(parent, key):
+        raise AssertionError("a path was rendered for a body that fits")
+
+    monkeypatch.setattr(artifacts, "_render_path", no_render)
+    files = sorted((smile_repo_dir / "artifacts").rglob("*.json")) + sorted(
+        (screening_repo_dir / "artifacts").rglob("*.json")
+    )
+    documents = [file.read_bytes() for file in files] + [serialize_artifact(_register(50))]
+    assert len(files) > 20
+    for raw in documents:
+        parse_artifact(raw)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
+import pytest
+
 from auditflow.canonical import canonical_bytes, content_hash, hash_bytes
+
+from .test_validation_corpus import corpus_cases
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -37,3 +42,21 @@ def test_single_field_mutations_produce_distinct_digests():
     for i in range(len(digests)):
         for j in range(i + 1, len(digests)):
             assert digests[i] != digests[j]
+
+
+def _dumps_bytes(value) -> bytes:
+    """The canonical form as ``json.dumps`` gives it with the documented arguments."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode()
+
+
+def test_canonical_bytes_equals_json_dumps_on_the_corpus_bodies():
+    bodies = [body for _, _, _, body in corpus_cases()]
+    assert len(bodies) > 1000
+    for body in bodies + [{"é": "ü", "n": [1.5, -0.0, 10**30, True, None]}, "text", 3]:
+        assert canonical_bytes(body) == _dumps_bytes(body)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_bytes_rejects_a_value_json_cannot_carry(value):
+    with pytest.raises(ValueError):
+        canonical_bytes({"body": [value]})

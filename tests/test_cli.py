@@ -102,7 +102,7 @@ def test_validate_corruption_sweep_exits_one(smile_copy, capsys):
     "value, version, expected",
     [
         (10**400, "1", "ERROR E_FIELD_VALUE card body.performance_by_group[0].value value must be finite"),
-        (0.5, "9" * 5000, "ERROR E_PARSE - - document is not a structured object"),
+        (0.5, "9" * 5000, "ERROR E_PARSE - artifacts/artifact_collection/card.json an integer has more than 4300 digits"),
     ],
     ids=["real-past-the-float-range", "version-past-the-int-digit-limit"],
 )

@@ -7,11 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from auditflow import clock
+from auditflow import artifacts, clock, repository
 from auditflow.artifacts import ArtifactKind, Stage, make_artifact, serialize_artifact
 from auditflow.cli import main
 from auditflow.diagnostics import AuditError
-from auditflow.repository import LOCK_NAME, TRAIL_NAME, AuditRepository, Manifest, TrailRecord, init_repository
+from auditflow.repository import (
+    ARTIFACT_SUFFIXES,
+    LOCK_NAME,
+    TRAIL_NAME,
+    AuditRepository,
+    Manifest,
+    TrailRecord,
+    init_repository,
+)
 
 T0 = "2026-01-01T00:00:00+00:00"
 T1 = "2026-01-02T00:00:00+00:00"
@@ -154,6 +162,57 @@ def test_trace_and_report_read_each_artifact_file_once(smile_copy, monkeypatch, 
     assert main(["--repo", str(smile_copy), command]) == 0
     assert [reads[file] for file in files] == [1] * len(files)
     assert max(reads.values()) == 1
+
+
+def test_load_parses_each_artifact_file_once_in_path_order(smile_copy, monkeypatch):
+    art = smile_copy / "artifacts"
+    # "a" sorts before "a-b" by path parts, though "a-b/" comes before "a/" as text
+    (art / "a").mkdir()
+    (art / "a" / "b.json").write_bytes(b"{ broken")
+    (art / "a-b").mkdir()
+    (art / "a-b" / "c.yaml").write_bytes(b"- a list")
+    (art / "scoping" / "notes.txt").write_text("not an artifact")
+    (art / "scoping" / ".json").write_text("{}")  # Path.suffix sees no suffix here
+    (art / "z-link").symlink_to(art / "scoping", target_is_directory=True)  # rglob does not enter it
+    files = [f for f in sorted(art.rglob("*")) if f.is_file() and f.suffix in ARTIFACT_SUFFIXES]
+    parsed, hashed = [], []
+    parse, digest = repository.parse_artifact, artifacts.content_hash
+
+    def counted_parse(raw):
+        parsed.append(raw)
+        return parse(raw)
+
+    def counted_hash(value):
+        hashed.append(value)
+        return digest(value)
+
+    # the names the benchmark's spans wrap: load parses through the repository
+    # module's name, and each clean parse hashes through the artifacts module's
+    monkeypatch.setattr(repository, "parse_artifact", counted_parse)
+    monkeypatch.setattr(artifacts, "content_hash", counted_hash)
+    repo = AuditRepository.load(smile_copy)
+    assert parsed == [file.read_bytes() for file in files]
+    assert len(hashed) == len(repo.artifacts) == len(files) - 2
+    assert [d.line() for _, diags in repo.parse_failures for d in diags] == [
+        "ERROR E_PARSE - artifacts/a/b.json document is not a structured object",
+        "ERROR E_PARSE - artifacts/a-b/c.yaml document is not a structured object",
+    ]
+
+
+def test_a_relative_repo_path_loads_as_the_absolute_one(smile_copy, monkeypatch, capsys):
+    (smile_copy / "artifacts" / "mapping" / "broken.json").write_bytes(b"{ not json")
+    absolute = AuditRepository.load(smile_copy)
+    assert main(["--repo", str(smile_copy), "--format", "machine", "validate"]) == 1
+    expected = capsys.readouterr().out
+    assert "ERROR E_PARSE - artifacts/mapping/broken.json document is not a structured object" in expected.splitlines()
+    for cwd, repo_arg in ((smile_copy, "."), (smile_copy.parent, smile_copy.name)):
+        monkeypatch.chdir(cwd)
+        relative = AuditRepository.load(repo_arg)
+        assert relative.parse_failures == absolute.parse_failures
+        assert relative.artifacts == absolute.artifacts
+        assert relative.repo_content_hash() == absolute.repo_content_hash()
+        assert main(["--repo", repo_arg, "--format", "machine", "validate"]) == 1
+        assert capsys.readouterr().out == expected
 
 
 def test_repo_hash_after_each_write_equals_the_hash_of_a_fresh_load(tmp_path):

@@ -122,19 +122,22 @@ def _record(kind: ArtifactKind, body: dict) -> list[str]:
     return format_lines(validate_artifact(parsed, SAMPLE_PRINCIPLES)).splitlines() or ["-"]
 
 
-def corpus_lines() -> list[str]:
-    out = []
+def corpus_cases():
+    """(kind, body number, label, body) for each seeded body and each of its mutants."""
     for kind, count in BODIES.items():
         rng = random.Random(zlib.crc32(kind.value.encode()))
         for b in range(count):
             body = random_body(kind, rng)
-            cases = [("base", body)]
+            yield kind, b, "base", body
             for path, value in _positions(body):
-                cases.extend(
-                    (f"{_path_text(path)} {label}", _mutant(body, path, new)) for label, new in _mutations(path, value)
-                )
-            for label, mutant in cases:
-                out.extend(f"{kind.value} #{b} {label}\t{line}" for line in _record(kind, mutant))
+                for label, new in _mutations(path, value):
+                    yield kind, b, f"{_path_text(path)} {label}", _mutant(body, path, new)
+
+
+def corpus_lines() -> list[str]:
+    out = []
+    for kind, b, label, body in corpus_cases():
+        out.extend(f"{kind.value} #{b} {label}\t{line}" for line in _record(kind, body))
     return out
 
 
