@@ -10,8 +10,8 @@ a hash mismatch. Validation is a separate, pure pass that reports semantic
 violations as diagnostics instead of failing. Its single-field rules are
 annotations on the schema: ``need`` (the field is present and not blank),
 ``unique`` (no two list items share an id) and ``ref`` (the value names a
-declared principle); the few rules that relate several fields are one
-function per kind.
+declared principle), found by the walk that checks the body and kept on the
+document; the few rules that relate several fields are one function per kind.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from enum import Enum
 from functools import cached_property
@@ -172,24 +172,25 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 #
 # A schema is a tree of nodes. Parsing checks types, domains and unknown
 # fields against it: each node builds its ``check`` once, and ``check(value,
-# parent, key, misfits)`` tests one decoded value in place, calling the
-# checks of its children. It appends each misfit as (code, message, parent,
-# key) and builds no diagnostic. ``parent`` and ``key`` place the value
-# without rendering its path: ``key`` is "body" at the root, ".name" for a
-# field and an int for a list position, and ``parent`` is the (parent, key)
-# pair of the value holding it (None at the root). ``_render_path`` gives the
-# path text, so only a misfit renders one. Three annotations carry the
-# generic validation rules, which ``_check`` applies to a parsed body:
+# parent, key, misfits, findings)`` tests one decoded value in place, calling
+# the checks of its children. It appends each misfit as (code, message,
+# parent, key) and builds no diagnostic. ``parent`` and ``key`` place the
+# value without rendering its path: ``key`` is "body" at the root, ".name"
+# for a field and an int for a list position, and ``parent`` is the (parent,
+# key) pair of the value holding it (None at the root). ``_render_path`` gives
+# the path text, so only a diagnostic renders one. Three annotations carry the
+# generic validation rules; the walk appends their findings in the same shape:
 #   need=(code, message)  on Str, Count, Choice and Seq: the field must be
 #                         present and not None, [] or blank after strip();
-#   unique=(code, label)  on a Seq of Maps: no two items share a non-blank
-#                         "id";
-#   ref=True              on Str: the value names a declared principle.
+#   unique=(code, label)  on a Seq of Maps: no two items share a non-blank id;
+#   ref=True              on Str: the value names a declared principle (its
+#                         finding has code None and the value as message).
 # Rules that relate several fields live in ``_CROSS_FIELD_RULES``.
 
 Rule = Optional[tuple[str, str]]  # (diagnostic code, message or label)
 Where = Optional[tuple]  # (parent, key) of a value holding another, None above the root
 Misfit = tuple[str, str, Where, "str | int"]  # (code, message, parent, key)
+Finding = tuple[Optional[str], str, Where, "str | int"]
 
 
 def _render_path(parent: Where, key: str | int) -> str:
@@ -213,6 +214,11 @@ def _finite(value: int | float) -> bool:
         return False
 
 
+def _blank(value) -> bool:
+    """Absent, None, [] or blank after strip(): what a ``need`` rule rejects."""
+    return not value.strip() if isinstance(value, str) else value is None or value == []
+
+
 def _mistyped(expected: str, value, parent: Where, key: str | int, misfits: list[Misfit]) -> None:
     misfits.append(("E_FIELD_TYPE", f"expected {expected}, got {type(value).__name__}", parent, key))
 
@@ -224,9 +230,13 @@ class Str:
 
     @cached_property
     def check(self):
-        def check(value, parent, key, misfits):
+        ref = self.ref
+
+        def check(value, parent, key, misfits, findings):
             if not isinstance(value, str):
                 _mistyped("a string", value, parent, key, misfits)
+            elif ref:
+                findings.append((None, value, parent, key))
 
         return check
 
@@ -235,7 +245,7 @@ class Str:
 class Flag:
     @cached_property
     def check(self):
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if not isinstance(value, bool):
                 _mistyped("a boolean", value, parent, key, misfits)
 
@@ -252,7 +262,7 @@ class Count:
     def check(self):
         lo, hi = self.lo, self.hi
 
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if isinstance(value, bool) or not isinstance(value, int):
                 _mistyped("an integer", value, parent, key, misfits)
             elif (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -270,7 +280,7 @@ class Real:
     def check(self):
         lo, hi = self.lo, self.hi
 
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 _mistyped("a number", value, parent, key, misfits)
             elif not _finite(value):
@@ -290,7 +300,7 @@ class Choice:
     def check(self):
         values, allowed = frozenset(self.values), sorted(self.values)
 
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if not isinstance(value, str):
                 _mistyped("a string", value, parent, key, misfits)
             elif value not in values:
@@ -307,15 +317,23 @@ class Seq:
 
     @cached_property
     def check(self):
-        check_item = self.item.check
+        check_item, unique = self.item.check, self.unique
 
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if not isinstance(value, list):
                 _mistyped("a list", value, parent, key, misfits)
                 return
             here = (parent, key)
             for i, item in enumerate(value):
-                check_item(item, here, i, misfits)
+                check_item(item, here, i, misfits, findings)
+            if unique:
+                seen: set[str] = set()
+                for i, item in enumerate(value):  # a misfit item or id takes no part
+                    iid = item.get("id") if isinstance(item, dict) else None
+                    if isinstance(iid, str) and iid.strip():
+                        if iid in seen:
+                            findings.append((unique[0], f"{unique[1]} {iid!r} repeats", (here, i), ".id"))
+                        seen.add(iid)
 
         return check
 
@@ -327,8 +345,9 @@ class Map:
     @cached_property
     def check(self):
         fields = {name: (node.check, "." + name) for name, node in self.fields.items()}
+        needs = [(name, "." + name, node.need) for name, node in self.fields.items() if getattr(node, "need", None)]
 
-        def check(value, parent, key, misfits):
+        def check(value, parent, key, misfits, findings):
             if not isinstance(value, dict):
                 _mistyped("an object", value, parent, key, misfits)
                 return
@@ -338,29 +357,12 @@ class Map:
                 if child is None:  # an integer YAML key too renders as ".1"
                     misfits.append(("E_UNKNOWN_FIELD", f"field {name!r} is not in the schema", here, f".{name}"))
                 else:
-                    child[0](item, here, child[1], misfits)
+                    child[0](item, here, child[1], misfits, findings)
+            for name, dotted, (code, message) in needs:
+                if _blank(value.get(name)):
+                    findings.append((code, message, here, dotted))
 
         return check
-
-    @cached_property
-    def ruled(self) -> tuple[tuple[str, "Node", Rule, bool], ...]:
-        """(key, node, need, descend) for each field that carries a rule or
-        contains one; ``descend`` is whether ``_check`` must visit it."""
-        out = []
-        for key, node in self.fields.items():
-            need, descend = getattr(node, "need", None), _descends(node)
-            if need or descend:
-                out.append((key, node, need, descend))
-        return tuple(out)
-
-
-def _descends(node: "Node") -> bool:
-    """Whether a present value of ``node`` has a unique or ref rule on or below it."""
-    if isinstance(node, Map):
-        return bool(node.ruled)
-    if isinstance(node, Seq):
-        return bool(node.unique) or _descends(node.item)
-    return isinstance(node, Str) and node.ref
 
 
 Node = Any  # Str | Flag | Count | Real | Choice | Seq | Map
@@ -678,6 +680,7 @@ class ArtifactMeta:
 class ArtifactDocument:
     meta: ArtifactMeta
     body: dict
+    findings: list[Finding] = field(compare=False, repr=False)  # of ``body`` when its hash was fixed
 
     @property
     def id(self) -> str:
@@ -796,16 +799,21 @@ def _load_raw(raw_document: bytes | str) -> Any:
     else:
         text = raw_document
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:  # not JSON
-        pass
-    except ValueError:  # well-formed JSON with an integer past the interpreter's digit limit
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:  # not JSON
+            pass
+        try:
+            return yaml.safe_load(text)
+        except yaml.YAMLError:
+            return None
+    except RecursionError:
+        raise ArtifactParseError([make("E_PARSE", "document nests too deeply")]) from None
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):  # e.g. a YAML timestamp naming no real date
+            return None
         limit = sys.get_int_max_str_digits()
         raise ArtifactParseError([make("E_PARSE", f"an integer has more than {limit} digits")]) from None
-    try:
-        return yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError):
-        return None
 
 
 def parse_artifact(raw_document: bytes | str, expected_kind: ArtifactKind | None = None) -> ArtifactDocument:
@@ -846,8 +854,7 @@ def parse_artifact(raw_document: bytes | str, expected_kind: ArtifactKind | None
         )
 
     body = data.get("body", {})
-    misfits: list[Misfit] = []
-    SCHEMAS[meta.kind].check(body, None, "body", misfits)
+    misfits, findings = _walk(meta.kind, body)
     for code, message, parent, key in misfits:
         diags.append(make(code, message, meta.id, _render_path(parent, key)))
     if not misfits:  # hash only a body that fits the schema
@@ -863,7 +870,14 @@ def parse_artifact(raw_document: bytes | str, expected_kind: ArtifactKind | None
             )
     if diags:
         raise ArtifactParseError(sort_diagnostics(diags))
-    return ArtifactDocument(meta=meta, body=body)
+    return ArtifactDocument(meta, body, findings)
+
+
+def _walk(kind: ArtifactKind, body: Any) -> tuple[list[Misfit], list[Finding]]:
+    misfits: list[Misfit] = []
+    findings: list[Finding] = []
+    SCHEMAS[kind].check(body, None, "body", misfits, findings)
+    return misfits, findings
 
 
 def serialize_artifact(doc: ArtifactDocument) -> bytes:
@@ -894,12 +908,15 @@ def make_artifact(
         content_hash=content_hash(body),
         status=ArtifactStatus(status),
     )
-    return ArtifactDocument(meta=meta, body=body)
+    return ArtifactDocument(meta, body, _walk(kind, body)[1])
 
 
 def rehash(doc: ArtifactDocument) -> ArtifactDocument:
-    """Return the document with its content hash recomputed from the body."""
-    return ArtifactDocument(meta=replace(doc.meta, content_hash=content_hash(doc.body)), body=doc.body)
+    """Return the document with its content hash, and its findings if the body was edited, recomputed."""
+    digest = content_hash(doc.body)
+    if digest == doc.meta.content_hash:
+        return doc
+    return ArtifactDocument(replace(doc.meta, content_hash=digest), doc.body, _walk(doc.kind, doc.body)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -927,37 +944,6 @@ def _axis_is_skewed(fractions: list[float], threshold: float) -> bool:
         return True
     fmax, fmin = max(fractions), min(fractions)
     return fmax * (1.0 - fmin) > threshold * fmin * (1.0 - fmax)
-
-
-def _blank(value) -> bool:
-    """Absent, None, [] or blank after strip(): what a ``need`` rule rejects."""
-    return not value.strip() if isinstance(value, str) else value is None or value == []
-
-
-def _check(value, node: Node, path: str, aid: str, known: set[str], out: list[Diagnostic]) -> None:
-    """Apply the schema's need / unique / ref rules below one present value."""
-    if isinstance(node, Map):
-        for key, child, need, descend in node.ruled:
-            sub = value.get(key)
-            if need and _blank(sub):
-                out.append(make(need[0], need[1], aid, f"{path}.{key}"))
-            elif descend and sub is not None:
-                _check(sub, child, f"{path}.{key}", aid, known, out)
-    elif isinstance(node, Seq):
-        if node.unique:
-            code, label = node.unique
-            seen: set[str] = set()
-            for i, item in enumerate(value):
-                iid = item.get("id")
-                if iid in seen:
-                    out.append(make(code, f"{label} {iid!r} repeats", aid, f"{path}[{i}].id"))
-                elif not _blank(iid):
-                    seen.add(iid)
-        if _descends(node.item):
-            for i, item in enumerate(value):
-                _check(item, node.item, f"{path}[{i}]", aid, known, out)
-    elif value not in known:  # a principle ref
-        out.append(make("E_PRINCIPLE_UNKNOWN", f"principle {value!r} is not declared", aid, path))
 
 
 def _review_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
@@ -1027,9 +1013,11 @@ def _testing_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str],
                     f"{path}.new_entry",
                 )
             )
-        else:
-            refs_path = f"{path}.new_entry.threatened_principles"
-            _check(new["threatened_principles"], Seq(PRINCIPLE_REF), refs_path, aid, known, out)
+        else:  # refs only when the target is "new", so the schema walk cannot find them
+            for j, ref in enumerate(new["threatened_principles"]):
+                if ref not in known:
+                    message = f"principle {ref!r} is not declared"
+                    out.append(make("E_PRINCIPLE_UNKNOWN", message, aid, f"{path}.new_entry.threatened_principles[{j}]"))
 
 
 def _chart_rules(body: dict, aid: str, cfg: ValidationConfig, known: set[str], out: list[Diagnostic]) -> None:
@@ -1060,14 +1048,20 @@ def validate_artifact(
     """Pure semantic validation of one parsed artifact.
 
     Returns every invariant violation as a diagnostic, sorted by
-    (artifact_id, path, code): the need / unique / ref annotations of the
-    kind's schema, then its cross-field rules. Cross-artifact invariants
-    (chart versus register, checklist claims, reference resolution) are
-    handled at the repository and trace layers, not here.
+    (artifact_id, path, code): the document's need / unique / ref findings,
+    each ref resolved against ``principles``, then the kind's cross-field
+    rules. Cross-artifact invariants (chart versus register, checklist
+    claims, reference resolution) are handled at the repository and trace
+    layers, not here.
     """
     known = {p.id for p in principles}
     out: list[Diagnostic] = []
-    _check(artifact.body, SCHEMAS[artifact.kind], "body", artifact.id, known, out)
+    for code, message, parent, key in artifact.findings:
+        if code is None:  # a principle ref
+            if message in known:
+                continue
+            code, message = "E_PRINCIPLE_UNKNOWN", f"principle {message!r} is not declared"
+        out.append(make(code, message, artifact.id, _render_path(parent, key)))
     rules = _CROSS_FIELD_RULES.get(artifact.kind)
     if rules is not None:
         rules(artifact.body, artifact.id, config or DEFAULT_VALIDATION, known, out)

@@ -172,6 +172,7 @@ class Manifest:
             raise AuditError("E_CONFIG", f"unknown risk_matrix fields: {sorted(bad)}")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in matrix.values()):
             raise AuditError("E_CONFIG", f"risk_matrix values must be numbers: {matrix!r}")
+        skew, tolerance = raw.get("skew_threshold"), raw.get("fraction_tolerance")
         verbs = raw.get("closed_question_verbs")
         if verbs is not None and (not isinstance(verbs, list) or not all(isinstance(v, str) for v in verbs)):
             raise AuditError("E_CONFIG", "closed_question_verbs must be a list of strings")
@@ -183,8 +184,8 @@ class Manifest:
             role_overrides=raw.get("role_overrides") or {},
             stage_requirements=raw.get("stage_requirements") or {},
             risk_matrix=matrix,
-            skew_threshold=float(raw.get("skew_threshold", 4.0)),
-            fraction_tolerance=float(raw.get("fraction_tolerance", 0.02)),
+            skew_threshold=4.0 if skew is None else float(skew),
+            fraction_tolerance=0.02 if tolerance is None else float(tolerance),
             closed_question_verbs=verbs,
             risk_acceptance_threshold=raw.get("risk_acceptance_threshold"),
             verdict_blocking_class=raw.get("verdict_blocking_class", "high") or "high",
@@ -416,8 +417,11 @@ class AuditRepository:
             try:
                 doc = parse_artifact(data)
             except ArtifactParseError as exc:
-                # a failure of the whole document names no artifact, so it names the file
-                diags = [d if d.artifact_id or d.path else replace(d, path=rel) for d in exc.diagnostics]
+                # a diagnostic that names no artifact names the file: "<rel>" or "<rel>:<path>"
+                diags = [
+                    d if d.artifact_id else replace(d, path=f"{rel}:{d.path}" if d.path else rel)
+                    for d in exc.diagnostics
+                ]
                 parse_failures.append((rel, diags))
                 continue
             if doc.id in artifacts:

@@ -21,7 +21,7 @@ from auditflow.artifacts import (
 from auditflow.diagnostics import ArtifactParseError, format_lines
 from auditflow.repository import TEMPLATE_PRINCIPLES
 
-from .genutil import SAMPLE_PRINCIPLES, random_artifact
+from .genutil import SAMPLE_PRINCIPLES, gen_value, random_artifact
 
 PRINCIPLES = [
     {"id": p["id"], "name": p["name"], "description": p["description"], "comment": p["comment"]}
@@ -400,6 +400,23 @@ def _parse_lines(raw: bytes) -> list[str]:
     with pytest.raises(ArtifactParseError) as exc:
         parse_artifact(raw)
     return [d.line() for d in exc.value.diagnostics]
+
+
+# (kind, field) of each list whose items must not share an id; all are top-level body fields
+UNIQUE_LISTS = [
+    (kind, name) for kind, schema in SCHEMAS.items() for name, node in schema.fields.items() if getattr(node, "unique", None)
+]
+
+
+@pytest.mark.parametrize("kind, name", UNIQUE_LISTS, ids=[f"{kind.value}.{name}" for kind, name in UNIQUE_LISTS])
+def test_a_misfit_item_or_id_in_a_unique_list_gives_only_its_schema_misfits(kind, name):
+    item = dict(gen_value(SCHEMAS[kind].fields[name].item, random.Random(1)), id="a")
+    body = {name: [item, 1, dict(item, id=["a"]), item, "b"]}
+    assert _parse_lines(serialize_artifact(make_artifact(kind, "x", body))) == [
+        f"ERROR E_FIELD_TYPE x body.{name}[1] expected an object, got int",
+        f"ERROR E_FIELD_TYPE x body.{name}[2].id expected a string, got list",
+        f"ERROR E_FIELD_TYPE x body.{name}[4] expected an object, got str",
+    ]
 
 
 def test_an_integer_yaml_key_under_a_list_item_renders_as_a_field():

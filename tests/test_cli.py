@@ -118,6 +118,54 @@ def test_validate_maps_an_oversized_integer_to_a_diagnostic(tmp_path, capsys, va
     assert code == 1
     assert expected in out.splitlines()
 
+
+_MISSING_META = ("content_hash", "created_at", "id", "producer", "stage", "status", "version")
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        ("deep.json", "[" * 100_000 + "]" * 100_000, ["ERROR E_PARSE - artifacts/mapping/deep.json document nests too deeply"]),
+        ("deep.yaml", "a: " + "[" * 5_000, ["ERROR E_PARSE - artifacts/mapping/deep.yaml document nests too deeply"]),
+        (
+            "big.yaml",
+            "meta:\n  version: " + "9" * 5_000 + "\n",
+            ["ERROR E_PARSE - artifacts/mapping/big.yaml an integer has more than 4300 digits"],
+        ),
+        (
+            "date.yaml",
+            "meta:\n  created_at: 2026-13-45\n",
+            ["ERROR E_PARSE - artifacts/mapping/date.yaml document is not a structured object"],
+        ),
+        (
+            "nometa.json",
+            '{"meta": 1, "body": {}}',
+            ["ERROR E_PARSE - artifacts/mapping/nometa.json:meta document has no meta object"],
+        ),
+        (
+            "noid.json",
+            '{"meta": {"kind": "SystemMap"}, "body": {}}',
+            [f"ERROR E_FIELD_MISSING - artifacts/mapping/noid.json:meta.{f} meta field {f!r} is required" for f in _MISSING_META],
+        ),
+    ],
+    ids=[
+        "deep-json",
+        "deep-yaml",
+        "yaml-integer-past-the-digit-limit",
+        "yaml-date-out-of-range",
+        "meta-not-an-object",
+        "meta-without-id",
+    ],
+)
+def test_an_artifact_that_does_not_parse_is_named_by_its_file(tmp_path, capsys, name, text, expected):
+    repo = tmp_path / "audit"
+    run(capsys, "--repo", str(repo), "init")
+    (repo / "artifacts" / "mapping" / name).write_text(text)
+    code, out, _ = run(capsys, "--repo", str(repo), "--format", "machine", "validate")
+    assert code == 1
+    assert [line for line in out.splitlines() if f"/{name}" in line] == expected
+
+
 def _manifest_with(**fields):
     def corrupt(repo):
         raw = json.loads((repo / "manifest.json").read_text())

@@ -4,8 +4,10 @@ Modules talk to each other through public names only and import each other
 at module level, the per-requirement gate diagnostics come from one
 evaluator, so ``gate``, ``status`` and the report's readiness lines cannot
 drift apart, the diagnostic code registry matches the codes the source
-uses, ``AuditRepository.load`` is the one reader of the artifact tree, and
-``AuditRepository.write_artifact`` leaves the whole-trail parse to the index.
+uses, ``AuditRepository.load`` is the one reader of the artifact tree,
+``AuditRepository.write_artifact`` leaves the whole-trail parse to the index,
+and validation reads the findings of the parse's schema walk instead of
+walking the schema again.
 """
 
 from __future__ import annotations
@@ -107,5 +109,25 @@ def test_write_artifact_does_not_parse_the_whole_trail_itself():
         f"repository.py:{node.lineno}"
         for node in ast.walk(write)
         if isinstance(node, ast.Attribute) and node.attr == "trail_records"
+    ]
+    assert found == []
+
+
+def test_validation_names_no_schema():
+    tree = ast.parse((PACKAGE / "artifacts.py").read_text(encoding="utf-8"))
+    rules = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_CROSS_FIELD_RULES" for t in node.targets)
+    )
+    validators = {"validate_artifact"} | {value.id for value in rules.values}
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in validators]
+    assert len(funcs) == len(validators)
+    schema_names = {"SCHEMAS", "Map", "Seq", "Str", "PRINCIPLE_REF", "_walk"}
+    found = [
+        f"{func.name}:{node.lineno} {node.id}"
+        for func in funcs
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id in schema_names
     ]
     assert found == []

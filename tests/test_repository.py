@@ -257,6 +257,17 @@ def test_by_kind_reads_one_index_per_snapshot_and_a_write_rebuilds_it(smile_repo
         assert smile_repo.by_kind(kind) == expected
 
 
+def test_a_body_edited_in_place_before_a_write_is_validated_as_written(tmp_path):
+    path = tmp_path / "audit"
+    repo = init_repository(path, now=T0)
+    doc = make_artifact(ArtifactKind.MODEL_CARD, "card", {"intended_use": "triage"}, created_at=T0)
+    doc.body["intended_use"] = " "
+    repo.write_artifact(doc)
+    expected = ["ERROR E_MC_INTENDED_USE card body.intended_use model card must state the intended use"]
+    assert [d.line() for d in repo.artifact_errors("card")] == expected
+    assert [d.line() for d in AuditRepository.load(path).artifact_errors("card")] == expected
+
+
 # -- closed question verbs ----------------------------------------------------------
 
 def _set_manifest(path, **fields):
@@ -264,6 +275,15 @@ def _set_manifest(path, **fields):
     raw = json.loads(manifest.read_text())
     raw.update(fields)
     manifest.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("name", ["skew_threshold", "fraction_tolerance"])
+def test_a_null_threshold_stands_for_its_default(smile_copy, name):
+    expected = [d.line() for d in AuditRepository.load(smile_copy).validate_repository()]
+    _set_manifest(smile_copy, **{name: None})
+    repo = AuditRepository.load(smile_copy)
+    assert getattr(repo.manifest, name) == getattr(Manifest("audit"), name)
+    assert [d.line() for d in repo.validate_repository()] == expected
 
 
 def _closed_question_paths(repo):

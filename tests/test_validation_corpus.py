@@ -22,7 +22,14 @@ import random
 import zlib
 from pathlib import Path
 
-from auditflow.artifacts import ArtifactKind, make_artifact, parse_artifact, serialize_artifact, validate_artifact
+from auditflow.artifacts import (
+    ArtifactKind,
+    make_artifact,
+    parse_artifact,
+    rehash,
+    serialize_artifact,
+    validate_artifact,
+)
 from auditflow.diagnostics import ArtifactParseError, format_lines
 
 from .genutil import SAMPLE_PRINCIPLES, random_body
@@ -149,6 +156,19 @@ def test_corpus_matches_golden_and_shows_every_validation_code():
     results = [line.split("\t", 1)[1].split() for line in lines]
     seen = {result[1] for result in results if result[0] in ("ERROR", "WARNING")}
     assert seen == VALIDATION_CODES
+
+
+def test_each_corpus_body_validates_alike_from_parse_make_and_rehash():
+    for kind, b, label, body in corpus_cases():
+        made = make_artifact(kind, "art-x", body, created_at="2026-01-01T00:00:00+00:00")
+        try:
+            parsed = parse_artifact(serialize_artifact(made))
+        except ArtifactParseError:
+            continue
+        edited = make_artifact(kind, "art-x", {}, created_at="2026-01-01T00:00:00+00:00")
+        edited.body.update(copy.deepcopy(body))  # in place, after the findings were taken
+        lines = [format_lines(validate_artifact(doc, SAMPLE_PRINCIPLES)) for doc in (parsed, made, rehash(edited))]
+        assert lines[1:] == lines[:1] * 2, f"{kind.value} #{b} {label}"
 
 
 if __name__ == "__main__":
