@@ -789,6 +789,24 @@ def _parse_meta(raw: dict, diags: list[Diagnostic]) -> Optional[ArtifactMeta]:
     return ArtifactMeta(raw["id"], kind, producer, stage, version, created_at, digest, status)
 
 
+class _YamlLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, giving up on a deep flow collection early.
+
+    The scanner's cost per token grows with the number of open flow
+    collections, so a few KB of ``[`` take about a second to reject. The
+    composer runs out of stack near 490 levels anyway, so no document past
+    ``MAX_FLOW_DEPTH`` could load; the loader raises the composer's
+    ``RecursionError`` there without scanning further.
+    """
+
+    MAX_FLOW_DEPTH = 500
+
+    def fetch_flow_collection_start(self, TokenClass):
+        if self.flow_level >= self.MAX_FLOW_DEPTH:
+            raise RecursionError(f"more than {self.MAX_FLOW_DEPTH} nested flow collections")
+        super().fetch_flow_collection_start(TokenClass)
+
+
 def _load_raw(raw_document: bytes | str) -> Any:
     """The decoded document; None when it is neither UTF-8 JSON nor YAML."""
     if isinstance(raw_document, bytes):
@@ -804,7 +822,7 @@ def _load_raw(raw_document: bytes | str) -> Any:
         except json.JSONDecodeError:  # not JSON
             pass
         try:
-            return yaml.safe_load(text)
+            return yaml.load(text, Loader=_YamlLoader)
         except yaml.YAMLError:
             return None
     except RecursionError:
@@ -882,8 +900,73 @@ def _walk(kind: ArtifactKind, body: Any) -> tuple[list[Misfit], list[Finding]]:
 
 def serialize_artifact(doc: ArtifactDocument) -> bytes:
     """Render an artifact to its on-disk JSON form (stable key order)."""
-    payload = {"meta": doc.meta.to_dict(), "body": doc.body}
-    return (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n").encode("utf-8")
+    return (_pretty({"meta": doc.meta.to_dict(), "body": doc.body}, "", {}) + "\n").encode("utf-8")
+
+
+# The on-disk form is ``json.dumps(value, **_ON_DISK)``. With an indent, json
+# encodes through its pure-Python generator, one call per token; ``_pretty``
+# gives the same text and hands every string to json's C quoting function.
+_ON_DISK = {"indent": 2, "sort_keys": True, "ensure_ascii": False, "allow_nan": False}
+_quote = json.encoder.encode_basestring  # what json quotes with when not ensure_ascii
+_int_text = int.__repr__
+_float_text = float.__repr__
+
+
+def _pretty(value: Any, pad: str, labels: dict[str, str]) -> str:
+    """``value`` in its on-disk form, nested under the indent ``pad``.
+
+    ``labels`` keeps each key's rendered ``"key": `` for the whole document,
+    since the entries of a list share their keys.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            items = []
+            for key in sorted(value):
+                try:
+                    label = labels[key]
+                except KeyError:
+                    if type(key) is not str:
+                        return _pretty_by_json(value, pad)
+                    label = labels[key] = _quote(key) + ": "
+                item = value[key]
+                of = type(item)  # the two commonest leaves, rendered without a recursive call
+                if of is str:
+                    items.append(label + _quote(item))
+                elif of is int:
+                    items.append(label + _int_text(item))
+                else:
+                    items.append(label + _pretty(item, inner, labels))
+            return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+        try:
+            text = sep.join(map(_quote, value))
+        except TypeError:  # not a list of strings
+            text = sep.join([_pretty(item, inner, labels) for item in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    if kind is int:
+        return _int_text(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if kind is float and math.isfinite(value):
+        return _float_text(value)
+    return _pretty_by_json(value, pad)
+
+
+def _pretty_by_json(value: Any, pad: str) -> str:
+    """What ``_pretty`` leaves to json (tuples, subclasses, keys that are not
+    strings, NaN): json's own text, re-indented. It is exact because a
+    rendered string never holds a raw newline, and it raises what json raises."""
+    return json.dumps(value, **_ON_DISK).replace("\n", "\n" + pad)
 
 
 def make_artifact(

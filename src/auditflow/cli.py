@@ -4,7 +4,8 @@ Commands: ``init``, ``validate``, ``status``, ``gate``, ``risk``,
 ``trace``, ``report``. All take ``--repo`` (default ``.``) and most accept
 ``--format {text,machine}`` where machine output is the sorted diagnostic
 line format. Exit codes: 0 success/pass, 1 parse failure (validate), 2
-failure or error, 3 usage. ``trace`` writes ``adhf.graph``; ``report``
+failure or error, including a file that could not be read or written
+(``E_IO``), 3 usage. ``trace`` writes ``adhf.graph``; ``report``
 writes ``audit_report.txt`` and a changed summary artifact; ``gate --advance``
 rewrites ``state.lock``; ``risk --ingest-tests`` writes a new register
 version. All four append unseen artifact versions to ``trail.log`` without
@@ -271,10 +272,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except AuditError as exc:
-        if exc.diagnostics:
-            sys.stdout.write(format_lines(exc.diagnostics))
-        print(f"error: {exc.code} {exc.message}", file=sys.stderr)
-        return EXIT_FAIL
+        error = exc
+    except OSError as exc:  # its message names the file
+        error = AuditError("E_IO", str(exc))
+    if error.diagnostics:
+        sys.stdout.write(format_lines(error.diagnostics))
+    print(f"error: {error.code} {error.message}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 if __name__ == "__main__":

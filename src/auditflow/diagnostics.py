@@ -114,6 +114,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "E_VERSION_REUSED": (Severity.ERROR, "artifact version rewritten with different content"),
     "E_LOCKED": (Severity.ERROR, "repository is locked by another writer"),
     "E_REPO": (Severity.ERROR, "path is not an audit repository"),
+    "E_IO": (Severity.ERROR, "file could not be read or written"),
 }
 
 

@@ -12,7 +12,7 @@ distillation of this graph and is deliberately not part of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import clock
 from .artifacts import STAGES, ArtifactKind, Stage
@@ -25,8 +25,9 @@ if TYPE_CHECKING:
     from .repository import AuditRepository
 
 
-@dataclass(frozen=True)
-class TraceNode:
+# Graph records are tuples, so hashing and sorting them runs in C: node ids
+# are unique, and an edge's field order is its sort order.
+class TraceNode(NamedTuple):
     id: str
     node_kind: str
     source_artifact: str
@@ -34,8 +35,7 @@ class TraceNode:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TraceEdge:
+class TraceEdge(NamedTuple):
     src: str
     edge_kind: str
     dst: str
@@ -50,13 +50,7 @@ class TraceGraph:
 
     def graph_hash(self) -> str:
         """Hash of nodes, edges, and repo hash; the timestamp is excluded."""
-        return content_hash(
-            {
-                "nodes": [[n.id, n.node_kind, n.source_artifact, n.created_at, list(n.flags)] for n in self.nodes],
-                "edges": [[e.src, e.edge_kind, e.dst] for e in self.edges],
-                "repo_hash": self.repo_hash,
-            }
-        )
+        return content_hash({"nodes": self.nodes, "edges": self.edges, "repo_hash": self.repo_hash})
 
     def serialize(self) -> bytes:
         lines = [
@@ -76,10 +70,7 @@ class TraceGraph:
 
 
 def _ordered(nodes: dict[str, TraceNode], edges: set[TraceEdge]) -> tuple[tuple[TraceNode, ...], tuple[TraceEdge, ...]]:
-    return (
-        tuple(sorted(nodes.values(), key=lambda n: n.id)),
-        tuple(sorted(edges, key=lambda e: (e.src, e.edge_kind, e.dst))),
-    )
+    return tuple(sorted(nodes.values())), tuple(sorted(edges))
 
 
 def build_graph(repo: "AuditRepository", *, generated_at: str | None = None) -> TraceGraph:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 import zlib
 
 import pytest
@@ -429,6 +430,17 @@ def test_an_integer_yaml_key_under_a_list_item_renders_as_a_field():
     assert _parse_lines(as_yaml.encode()) == [
         "ERROR E_UNKNOWN_FIELD mc body.performance_by_group[0].1 field 1 is not in the schema"
     ]
+
+
+@pytest.mark.parametrize(
+    "depth, message", [(300, "document has no meta object"), (5_000, "document nests too deeply")]
+)
+def test_deep_yaml_flow_nesting_is_rejected_quickly(depth, message):
+    start = time.perf_counter()
+    with pytest.raises(ArtifactParseError) as exc_info:
+        parse_artifact("meta: " + "[" * depth + "]" * depth)
+    assert time.perf_counter() - start < 0.5  # the scanner's cost grows with depth squared
+    assert [(d.code, d.message) for d in exc_info.value.diagnostics] == [("E_PARSE", message)]
 
 
 def test_a_misfit_three_levels_down_renders_its_whole_path():

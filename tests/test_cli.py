@@ -383,3 +383,12 @@ def test_report_command_is_idempotent(smile_copy, capsys, monkeypatch):
     assert code == 0
     assert (smile_copy / "audit_report.txt").read_bytes() == first_report
     assert (smile_copy / "artifacts" / "reflection" / "audit-summary.json").read_bytes() == first_summary
+
+
+@pytest.mark.parametrize("command, output", [("trace", "adhf.graph"), ("report", "audit_report.txt")])
+def test_an_output_path_that_cannot_be_written_exits_two_naming_it(smile_copy, capsys, command, output):
+    (smile_copy / output).mkdir()
+    code, _, err = run(capsys, "--repo", str(smile_copy), command)
+    assert code == 2
+    assert err.startswith("error: E_IO ")
+    assert str(smile_copy / output) in err
